@@ -10,22 +10,26 @@
 //   cube_calc 'mean(exp1, exp2, exp3)' r1.cube r2.cube r3.cube
 //   cube_calc 'diff(mean(a1, a2), mean(b1, b2))' a1=... a2=... b1=... b2=...
 //
-// Unnamed files are bound to exp1, exp2, ... in order.  Without -o the
-// derived experiment's metric totals and top hotspots are printed.
+// Unnamed files are bound to exp1, exp2, ... in order; binding one name
+// twice is an error.  Without -o the derived experiment's metric totals
+// and top hotspots are printed.
 //
-// cube_calc shares the query grammar with cube_query; expressions using
-// repository selectors (id/attr/series) are rejected here with a pointer
+// The expression runs through the query engine's planner and DAG executor
+// (query/engine.hpp) with each name borrowing its loaded file, exactly as
+// cube_query evaluates over a repository, minus the result cache.
+// Repository selectors (id/attr/series) are rejected here with a pointer
 // to cube_query --repo, which can resolve them.
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bindings.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "io/cube_format.hpp"
 #include "obs_util.hpp"
-#include "query/query_expr.hpp"
+#include "query/engine.hpp"
 #include "report_util.hpp"
 
 int main(int argc, char** argv) {
@@ -37,7 +41,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string expr = argv[1];
-  std::vector<std::pair<std::string, std::string>> inputs;
+  cube::cli::Bindings bindings;
   std::optional<std::string> output;
   std::size_t hotspot_count = 10;
   cube::cli::ObsOptions obs;
@@ -55,43 +59,15 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        inputs.emplace_back("exp" + std::to_string(inputs.size() + 1), arg);
-      } else {
-        inputs.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-      }
-    }
-  }
-
-  // Reject duplicate bindings instead of silently letting the later file
-  // shadow the earlier one.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    for (std::size_t j = i + 1; j < inputs.size(); ++j) {
-      if (inputs[i].first == inputs[j].first) {
-        std::cerr << "error: duplicate binding '" << inputs[i].first
-                  << "': bound to '" << inputs[i].second << "' and to '"
-                  << inputs[j].second << "'\n";
-        return 1;
-      }
+      bindings.add(arg);
     }
   }
 
   obs.begin();
   try {
-    std::vector<cube::Experiment> loaded;
-    loaded.reserve(inputs.size());
-    cube::ExperimentEnv env;
-    for (const auto& [name, path] : inputs) {
-      loaded.push_back(cube::read_experiment_file(path));
-      if (loaded.back().name().empty()) loaded.back().set_name(name);
-    }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      env[inputs[i].first] = &loaded[i];
-    }
-
+    bindings.load();
     const cube::Experiment result =
-        cube::query::eval_query_with_env(expr, env);
+        cube::query::QueryEngine(bindings.env).run(expr).experiment;
     std::cout << "evaluated: " << expr << "\n"
               << "result:    " << result.name() << "\n";
 

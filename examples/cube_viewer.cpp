@@ -5,12 +5,14 @@
 //               [--color] [--batch CMD ';' CMD ...]
 //
 // With one file, the viewer browses it directly.  With several named files
-// plus --expr, it first evaluates a composite-operator expression such as
+// plus --expr, it first evaluates a query expression (the cube_calc and
+// cube_query grammar, run through the same query engine) such as
 //
 //   cube_viewer a=run1.cube b=run2.cube c=opt.cube
 //       --expr 'diff(mean(a, b), c)'
 //
 // and browses the derived experiment — the closure property at work.
+// Binding one name twice is an error.
 // With --html FILE the current view is additionally exported as a
 // standalone HTML page after every command.  Without --batch, commands are
 // read from stdin (type 'help').
@@ -19,11 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "algebra/composite.hpp"
+#include "bindings.hpp"
 #include "common/error.hpp"
 #include "display/browser.hpp"
 #include "display/html.hpp"
-#include "io/cube_format.hpp"
+#include "query/engine.hpp"
 
 namespace {
 
@@ -36,7 +38,7 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::pair<std::string, std::string>> inputs;  // name -> path
+  cube::cli::Bindings bindings;
   std::optional<std::string> expr;
   std::optional<std::string> batch;
   std::optional<std::string> html_path;
@@ -57,33 +59,19 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     } else {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        inputs.emplace_back("exp" + std::to_string(inputs.size() + 1), arg);
-      } else {
-        inputs.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-      }
+      bindings.add(arg);
     }
   }
-  if (inputs.empty()) {
+  if (bindings.inputs.empty()) {
     usage();
     return 1;
   }
 
   try {
-    std::vector<cube::Experiment> loaded;
-    loaded.reserve(inputs.size());
-    cube::ExperimentEnv env;
-    for (const auto& [name, path] : inputs) {
-      loaded.push_back(cube::read_experiment_file(path));
-      if (loaded.back().name().empty()) loaded.back().set_name(name);
-    }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      env[inputs[i].first] = &loaded[i];
-    }
-
+    bindings.load();
     const cube::Experiment subject =
-        expr ? cube::eval_expr(*expr, env) : loaded[0].clone();
+        expr ? cube::query::QueryEngine(bindings.env).run(*expr).experiment
+             : bindings.experiments[0].clone();
 
     cube::Browser browser(subject, render);
     std::cout << browser.render() << "\n";

@@ -1,6 +1,8 @@
 // Quickstart: build two small experiments through the CUBE construction
-// API, store one as a CUBE XML file, read it back, subtract the two, and
+// API, store them as CUBE XML files, read one back, subtract the two, and
 // browse the derived difference experiment exactly like an original one.
+// The stored before.cube/after.cube pair feeds the cube_calc/cube_viewer
+// smoke tests.
 //
 // Run:  ./quickstart [output-dir]
 #include <cstdio>
@@ -68,6 +70,7 @@ int main(int argc, char** argv) {
 
   // 3. A second experiment: the "optimized" code version.
   const cube::Experiment after = build_run("after", 3.5);
+  cube::Cube::write_file(after, (dir / "after.cube").string());
 
   // 4. Apply the algebra: the difference is itself a full experiment.
   const cube::Experiment diff = cube::difference(loaded, after);

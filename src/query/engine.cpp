@@ -70,8 +70,7 @@ enum class Action { LoadOperand, LoadCached, Compute };
 
 }  // namespace
 
-QueryEngine::QueryEngine(ExperimentRepository& repo, QueryOptions options)
-    : repo_(repo), options_(options) {
+QueryEngine::QueryEngine(QueryOptions options) : options_(options) {
   if (options_.threads == 0) {
     options_.threads = ThreadPool::default_threads();
   }
@@ -81,10 +80,22 @@ QueryEngine::QueryEngine(ExperimentRepository& repo, QueryOptions options)
   }
 }
 
+QueryEngine::QueryEngine(ExperimentRepository& repo, QueryOptions options)
+    : QueryEngine(options) {
+  repo_ = &repo;
+}
+
 QueryEngine::QueryEngine(ExperimentRepository& repo, QueryOptions options,
                          ThreadPool& pool)
-    : repo_(repo), options_(options), pool_(&pool) {
+    : repo_(&repo), options_(options), pool_(&pool) {
   options_.threads = pool.size();
+}
+
+QueryEngine::QueryEngine(const ExperimentEnv& env, QueryOptions options)
+    : QueryEngine(options) {
+  env_ = &env;
+  options_.use_cache = false;
+  options_.store_derived = false;
 }
 
 QueryResult QueryEngine::run(std::string_view text) {
@@ -92,7 +103,8 @@ QueryResult QueryEngine::run(std::string_view text) {
 }
 
 QueryPlan QueryEngine::plan(const QueryExpr& expr) const {
-  return plan_query(expr, repo_, options_.operators);
+  return env_ != nullptr ? plan_query(expr, *env_, options_.operators)
+                         : plan_query(expr, *repo_, options_.operators);
 }
 
 QueryResult QueryEngine::run(const QueryExpr& expr) {
@@ -119,11 +131,11 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
   // Snapshot the cached cubes (repository entries carrying a cache key).
   std::map<std::string, CachedCube> cache;
   if (options_.use_cache) {
-    for (const RepoEntry& entry : repo_.entries_snapshot()) {
+    for (const RepoEntry& entry : repo_->entries_snapshot()) {
       const auto it = entry.attributes.find(kCacheKeyAttribute);
       if (it != entry.attributes.end()) {
         cache.emplace(it->second,
-                      CachedCube{repo_.directory() / entry.file,
+                      CachedCube{repo_->directory() / entry.file,
                                  entry.format});
       }
     }
@@ -208,17 +220,24 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         };
   }
 
-  std::vector<std::shared_ptr<Experiment>> results(n);
+  std::vector<std::shared_ptr<const Experiment>> results(n);
   std::mutex mutex;
 
   const auto eval_node = [&](std::size_t i) {
     const PlanNode& node = plan.nodes[i];
     switch (action[i]) {
       case Action::LoadOperand: {
+        if (node.operand.borrowed != nullptr) {
+          // Aliases the caller's experiment with no owner: use_count() is
+          // 0, so the root hand-off below clones instead of moving it.
+          results[i] = std::shared_ptr<const Experiment>(
+              std::shared_ptr<const Experiment>(), node.operand.borrowed);
+          break;
+        }
         OBS_SPAN("query.load");
         const auto t0 = Clock::now();
         auto e = std::make_shared<Experiment>(
-            read_stored(repo_, node.operand.path, node.operand.format,
+            read_stored(*repo_, node.operand.path, node.operand.format,
                         options_.validate_loads));
         std::lock_guard<std::mutex> lock(mutex);
         results[i] = std::move(e);
@@ -234,7 +253,7 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         const std::uintmax_t size =
             std::filesystem::file_size(cached[i].path, ec);
         auto e = std::make_shared<Experiment>(
-            read_stored(repo_, cached[i].path, cached[i].format,
+            read_stored(*repo_, cached[i].path, cached[i].format,
                         options_.validate_loads));
         std::lock_guard<std::mutex> lock(mutex);
         results[i] = std::move(e);
@@ -264,7 +283,7 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         const double eval_ms = ms_since(t0);
         std::lock_guard<std::mutex> lock(mutex);
         if (options_.store_derived) {
-          repo_.store(*e, RepoFormat::Binary);
+          repo_->store(*e, RepoFormat::Binary);
         }
         results[i] = std::move(e);
         ++stats.nodes_evaluated;
@@ -386,10 +405,14 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
       .add(stats.bytes_loaded);
   obs::MetricsRegistry::global().absorb(run_metrics);
 
-  std::shared_ptr<Experiment> root = std::move(results[plan.root]);
+  // A root this run solely owns was created non-const by make_shared and
+  // is moved out; a shared one, or a borrowed leaf (use_count() 0), is
+  // cloned so the caller's experiment stays intact.
+  std::shared_ptr<const Experiment> root = std::move(results[plan.root]);
   results.clear();
-  QueryResult result{root.use_count() == 1 ? std::move(*root)
-                                           : root->clone(),
+  QueryResult result{root.use_count() == 1
+                         ? std::move(const_cast<Experiment&>(*root))
+                         : root->clone(),
                      stats, plan.nodes[plan.root].canonical};
   return result;
 }

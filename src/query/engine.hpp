@@ -17,6 +17,11 @@
 // under an operand id changes that file's digest and thereby every
 // downstream key, so stale cubes are never served (they are merely
 // orphaned).
+//
+// Without a repository the engine evaluates against an ExperimentEnv of
+// caller-owned experiments (cube_calc, cube_viewer --expr): the same
+// planner and executor, with every leaf borrowed from the environment and
+// the result cache off.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +107,10 @@ class QueryEngine {
   /// labels QueryStats::threads_used in this form.
   QueryEngine(ExperimentRepository& repo, QueryOptions options,
               ThreadPool& pool);
+  /// Env mode: bare identifiers bind to `env`'s experiments, selectors
+  /// throw, and use_cache/store_derived are forced off.  `env` and its
+  /// experiments must outlive the engine.
+  explicit QueryEngine(const ExperimentEnv& env, QueryOptions options = {});
 
   /// Parse + plan + execute.  Throws cube::Error (and subclasses) on
   /// parse, resolution, or evaluation failure.
@@ -115,7 +124,7 @@ class QueryEngine {
 
   /// Executes a previously produced plan (stats.plan_ms stays 0; run()
   /// composes the two).  The plan must come from this engine's
-  /// repository and operator options.
+  /// repository (or environment) and operator options.
   [[nodiscard]] QueryResult run_plan(const QueryPlan& plan);
 
   [[nodiscard]] const QueryOptions& options() const noexcept {
@@ -123,7 +132,10 @@ class QueryEngine {
   }
 
  private:
-  ExperimentRepository& repo_;
+  explicit QueryEngine(QueryOptions options);
+
+  ExperimentRepository* repo_ = nullptr;  // null in env mode
+  const ExperimentEnv* env_ = nullptr;    // null in repository mode
   QueryOptions options_;
   ThreadPool* pool_ = nullptr;        // null when running sequentially
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -40,7 +40,9 @@ class Planner {
   // plans while other sessions store derived results into the same
   // repository, and an entries() reference could reallocate mid-walk.
   Planner(const ExperimentRepository& repo, const OperatorOptions& options)
-      : repo_(repo), entries_(repo.entries_snapshot()), options_(options) {}
+      : repo_(&repo), entries_(repo.entries_snapshot()), options_(options) {}
+  Planner(const ExperimentEnv& env, const OperatorOptions& options)
+      : env_(&env), options_(options) {}
 
   QueryPlan run(const QueryExpr& expr) {
     const std::vector<std::size_t> roots = plan_node(expr);
@@ -59,6 +61,9 @@ class Planner {
   /// Plans one expression; returns the DAG nodes it stands for (one node,
   /// except for selectors, which stand for their whole match list).
   std::vector<std::size_t> plan_node(const QueryExpr& expr) {
+    if (env_ != nullptr && expr.kind() != QueryExpr::Kind::Apply) {
+      return {env_node(expr)};
+    }
     switch (expr.kind()) {
       case QueryExpr::Kind::Ref:
       case QueryExpr::Kind::Id:
@@ -160,7 +165,7 @@ class Planner {
     if (matches.empty()) {
       throw OperationError("selector " + expr.str() +
                            " matches no experiment in '" +
-                           repo_.directory().string() + "'");
+                           repo_->directory().string() + "'");
     }
     return matches;
   }
@@ -174,7 +179,7 @@ class Planner {
     PlanNode node;
     node.kind = PlanNode::Kind::Load;
     node.operand.id = entry.id;
-    node.operand.path = repo_.directory() / entry.file;
+    node.operand.path = repo_->directory() / entry.file;
     node.operand.format = entry.format;
     node.operand.digest = digest_file(node.operand.path);
     std::error_code ec;
@@ -201,18 +206,51 @@ class Planner {
     } else {
       node.key = node.operand.digest;
     }
+    return push_load(std::move(node));
+  }
+
+  /// Env mode: a bare identifier borrows the experiment bound to it.
+  std::size_t env_node(const QueryExpr& expr) {
+    if (expr.kind() != QueryExpr::Kind::Ref) {
+      throw OperationError("selector " + expr.str() +
+                           " requires a repository to resolve; evaluate it "
+                           "with the query engine (cube_query --repo)");
+    }
+    const auto known = loads_.find(expr.name());
+    if (known != loads_.end()) {
+      ++plan_.cse_reused;
+      return known->second;
+    }
+    const auto bound = env_->find(expr.name());
+    if (bound == env_->end() || bound->second == nullptr) {
+      throw OperationError("unbound experiment name '" + expr.name() + "'");
+    }
+    PlanNode node;
+    node.operand.id = expr.name();
+    node.operand.borrowed = bound->second;
+    node.operand.meta_digest = bound->second->metadata().digest();
+    node.canonical = expr.name();
+    node.key = Fnv1a()
+                   .update(expr.name())
+                   .update(node.operand.meta_digest)
+                   .value();
+    return push_load(std::move(node));
+  }
+
+  std::size_t push_load(PlanNode node) {
+    const std::size_t index = plan_.nodes.size();
+    loads_.emplace(node.operand.id, index);
     plan_.nodes.push_back(std::move(node));
-    const std::size_t index = plan_.nodes.size() - 1;
-    loads_.emplace(entry.id, index);
     return index;
   }
 
-  const ExperimentRepository& repo_;
+  const ExperimentRepository* repo_ = nullptr;  // repository mode
+  const ExperimentEnv* env_ = nullptr;          // env mode
   const std::vector<RepoEntry> entries_;
   const OperatorOptions& options_;
   QueryPlan plan_;
   std::map<std::string, std::size_t> cse_;   // canonical -> node
-  std::map<std::string, std::size_t> loads_;  // id -> node
+  std::map<std::string, std::size_t> loads_;  // id or binding -> node
 };
 
 }  // namespace
@@ -220,6 +258,11 @@ class Planner {
 QueryPlan plan_query(const QueryExpr& expr, const ExperimentRepository& repo,
                      const OperatorOptions& options) {
   return Planner(repo, options).run(expr);
+}
+
+QueryPlan plan_query(const QueryExpr& expr, const ExperimentEnv& env,
+                     const OperatorOptions& options) {
+  return Planner(env, options).run(expr);
 }
 
 }  // namespace cube::query

@@ -1,5 +1,6 @@
 // Query planner: resolves a QueryExpr against an ExperimentRepository
-// into an evaluation DAG.
+// (or against an ExperimentEnv of caller-owned experiments, see the
+// second plan_query) into an evaluation DAG.
 //
 // Planning proceeds in three steps:
 //  1. SELECTOR RESOLUTION — id()/attr()/series() leaves (and bare refs,
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,10 @@ inline constexpr const char* kCacheExprAttribute = "cube::cache-expr";
 /// cache can never serve again.
 inline constexpr const char* kCacheOperandsAttribute = "cube::cache-operands";
 
+/// Binds bare-identifier leaves to caller-owned experiments (cube_calc's
+/// and cube_viewer's name=file bindings).
+using ExperimentEnv = std::map<std::string, const Experiment*>;
+
 /// A stored experiment an evaluation will read.
 struct ResolvedOperand {
   std::string id;               ///< repository id
@@ -61,6 +67,10 @@ struct ResolvedOperand {
   /// header through this to learn exact storage kind and nnz without
   /// loading severity.
   std::uint64_t sev_digest = 0;
+  /// Env-bound leaf: the caller's experiment, which the executor uses in
+  /// place of a repository load (no copy, no I/O).  Null for stored
+  /// operands.
+  const Experiment* borrowed = nullptr;
 };
 
 /// One DAG node, either a repository load or an operator application.
@@ -90,6 +100,17 @@ struct QueryPlan {
 /// is required) and Error on unknown ids.
 [[nodiscard]] QueryPlan plan_query(const QueryExpr& expr,
                                    const ExperimentRepository& repo,
+                                   const OperatorOptions& options = {});
+
+/// Plans `expr` against `env`: each bare identifier becomes a Load node
+/// that borrows the experiment bound to it, so the plan must not outlive
+/// those experiments.  The leaf's canonical text is its binding name and
+/// its key digests only that name and the metadata digest — enough for
+/// CSE, but not content-addressed, so such a plan runs with use_cache and
+/// store_derived off.  Throws OperationError on an unbound name and on any
+/// selector, which needs a repository to resolve.
+[[nodiscard]] QueryPlan plan_query(const QueryExpr& expr,
+                                   const ExperimentEnv& env,
                                    const OperatorOptions& options = {});
 
 }  // namespace cube::query

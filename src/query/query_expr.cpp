@@ -103,44 +103,15 @@ std::string QueryExpr::str() const {
   return "?";
 }
 
-std::unique_ptr<Expr> QueryExpr::to_composite() const {
-  switch (kind_) {
-    case Kind::Ref:
-      return Expr::load(name_);
-    case Kind::Id:
-    case Kind::Attr:
-    case Kind::Series:
-      throw OperationError("selector " + str() +
-                           " requires a repository to resolve; evaluate it "
-                           "with the query engine (cube_query --repo)");
-    case Kind::Apply: {
-      std::vector<std::unique_ptr<Expr>> lowered;
-      lowered.reserve(args_.size());
-      for (const auto& arg : args_) lowered.push_back(arg->to_composite());
-      Expr::Op op;
-      switch (op_) {
-        case Op::Diff: op = Expr::Op::Diff; break;
-        case Op::Merge: op = Expr::Op::Merge; break;
-        case Op::Mean: op = Expr::Op::Mean; break;
-        case Op::Min: op = Expr::Op::Min; break;
-        case Op::Max: op = Expr::Op::Max; break;
-        default: throw OperationError("unreachable query op");
-      }
-      return Expr::apply(op, std::move(lowered));
-    }
-  }
-  throw OperationError("unreachable query expression kind");
-}
-
 namespace {
 
-/// Recursive-descent parser; a superset of algebra/composite's grammar.
+/// Recursive-descent parser; recursion depth is bounded by kMaxQueryDepth.
 class QueryParser {
  public:
   explicit QueryParser(std::string_view text) : text_(text) {}
 
   std::unique_ptr<QueryExpr> parse() {
-    auto e = parse_expr();
+    auto e = parse_node(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing input after expression");
     return e;
@@ -224,7 +195,8 @@ class QueryParser {
                          : QueryExpr::series(std::move(value));
   }
 
-  std::unique_ptr<QueryExpr> parse_expr() {
+  /// `depth` counts the applications enclosing this expression.
+  std::unique_ptr<QueryExpr> parse_node(std::size_t depth) {
     const std::string ident = parse_ident();
     skip_ws();
     if (pos_ >= text_.size() || text_[pos_] != '(') {
@@ -247,6 +219,10 @@ class QueryParser {
     } else {
       fail("unknown operator '" + ident + "'");
     }
+    if (depth == kMaxQueryDepth) {
+      fail("operators nest deeper than " + std::to_string(kMaxQueryDepth) +
+           " levels");
+    }
     ++pos_;  // consume '('
     std::vector<std::unique_ptr<QueryExpr>> args;
     skip_ws();
@@ -254,7 +230,7 @@ class QueryParser {
       fail("operator '" + ident + "' requires arguments");
     }
     while (true) {
-      args.push_back(parse_expr());
+      args.push_back(parse_node(depth + 1));
       skip_ws();
       if (pos_ >= text_.size()) fail("unterminated argument list");
       if (text_[pos_] == ',') {
@@ -278,12 +254,6 @@ class QueryParser {
 
 std::unique_ptr<QueryExpr> parse_query(std::string_view text) {
   return QueryParser(text).parse();
-}
-
-Experiment eval_query_with_env(std::string_view text,
-                               const ExperimentEnv& env,
-                               const OperatorOptions& options) {
-  return parse_query(text)->to_composite()->eval(env, options);
 }
 
 }  // namespace cube::query

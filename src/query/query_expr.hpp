@@ -1,11 +1,11 @@
-// Query expressions: the algebra's composite-expression grammar extended
-// with repository SELECTORS, so a query is self-contained — it names the
-// stored experiments it operates on instead of relying on a caller-built
-// environment:
+// Query expressions: the one expression language of the algebra.  The
+// closed operators compose ("the difference of averaged data", paper §1),
+// and repository SELECTORS let a query name the stored experiments it
+// operates on instead of relying on a caller-built environment:
 //
 //     diff(mean(attr(run=before)), mean(attr(run=after)))
 //
-// Grammar (a superset of algebra/composite's grammar):
+// Grammar:
 //
 //     expr     := func '(' expr (',' expr)* ')' | selector | ident
 //     func     := "diff" | "difference" | "merge"
@@ -19,22 +19,28 @@
 //     bareword := [A-Za-z0-9_.:+-]+
 //
 // A bare ident leaf is an environment reference (cube_calc's name=file
-// bindings); against a repository it resolves like id(ident).  Selectors
+// bindings, see plan_query(expr, env)); against a repository it resolves
+// like id(ident).  Operator applications nest at most kMaxQueryDepth
+// deep, so parsing, planning and rendering never recurse without bound
+// on untrusted text (the daemon parses wire payloads).  Selectors
 // resolve to LISTS of stored experiments: a list splices into the
 // argument list of the n-ary reductions (mean/min/max), while positions
 // requiring exactly one experiment (diff/merge operands, the query root)
 // reject empty or ambiguous matches.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "algebra/composite.hpp"
 
 namespace cube::query {
+
+/// Deepest nesting of operator applications parse_query accepts.
+inline constexpr std::size_t kMaxQueryDepth = 256;
 
 class QueryExpr {
  public:
@@ -69,11 +75,6 @@ class QueryExpr {
   /// Canonical textual rendering (values quoted only when necessary).
   [[nodiscard]] std::string str() const;
 
-  /// Lowers to the algebra's composite Expr for evaluation against an
-  /// ExperimentEnv (cube_calc's mode).  Throws OperationError if the tree
-  /// contains a selector — those need a repository to resolve.
-  [[nodiscard]] std::unique_ptr<Expr> to_composite() const;
-
  private:
   QueryExpr(Kind kind, Op op, std::string name,
             std::vector<std::pair<std::string, std::string>> pairs,
@@ -88,13 +89,8 @@ class QueryExpr {
 
 [[nodiscard]] const char* op_name(QueryExpr::Op op) noexcept;
 
-/// Parses the query grammar; throws cube::Error with offset information.
+/// Parses the query grammar; throws cube::Error with offset information,
+/// also when applications nest deeper than kMaxQueryDepth.
 [[nodiscard]] std::unique_ptr<QueryExpr> parse_query(std::string_view text);
-
-/// Parse + lower + eval against an environment (no repository): the
-/// composite pipeline with the extended parser.  Selector use throws.
-[[nodiscard]] Experiment eval_query_with_env(
-    std::string_view text, const ExperimentEnv& env,
-    const OperatorOptions& options = {});
 
 }  // namespace cube::query

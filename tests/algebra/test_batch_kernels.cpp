@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -381,6 +382,28 @@ TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
     (void)mean(ptrs, options);
     EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 1u);
     EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 0u);
+  }
+  // Binary difference and merge are width-2 linear combinations: with
+  // injective mappings they take the batched path too, remapped or not,
+  // even over sparse identity-mapped operands (the per-operand preference
+  // needs width >= 16).
+  for (const auto& [meta, storage] :
+       {std::pair{MetaKind::Identical, StorageKind::Sparse},
+        std::pair{MetaKind::Overlapping, StorageKind::Dense}}) {
+    const auto operands = make_operands(meta, 2, 0.2, storage);
+    OperatorOptions options;
+    obs::MetricsRegistry diff_stats;
+    options.metrics = &diff_stats;
+    (void)difference(operands[0], operands[1], options);
+    EXPECT_EQ(kernel_count(diff_stats, kernel_counters::kPathBatched), 1u);
+    EXPECT_EQ(kernel_count(diff_stats, kernel_counters::kPathPerOperand), 0u);
+
+    obs::MetricsRegistry merge_stats;
+    options.metrics = &merge_stats;
+    (void)merge(operands[0], operands[1], options);
+    EXPECT_EQ(kernel_count(merge_stats, kernel_counters::kPathBatched), 1u);
+    EXPECT_EQ(kernel_count(merge_stats, kernel_counters::kPathPerOperand),
+              0u);
   }
 }
 

@@ -1,7 +1,6 @@
 // Edge cases of integration and operators beyond the main suites.
 #include <gtest/gtest.h>
 
-#include "algebra/composite.hpp"
 #include "algebra/operators.hpp"
 #include "common/error.hpp"
 #include "testutil.hpp"
@@ -88,7 +87,8 @@ TEST(Composite, OptionsPropagateToOperators) {
   const Experiment a = make_small();
   OperatorOptions opts;
   opts.storage = StorageKind::Sparse;
-  const Experiment out = eval_expr("mean(a, a)", {{"a", &a}}, opts);
+  const Experiment* ops[] = {&a, &a};
+  const Experiment out = mean(ops, opts);
   EXPECT_EQ(out.severity().kind(), StorageKind::Sparse);
 }
 

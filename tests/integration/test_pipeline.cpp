@@ -3,7 +3,6 @@
 // in miniature and assert the qualitative outcomes.
 #include <gtest/gtest.h>
 
-#include "algebra/composite.hpp"
 #include "algebra/operators.hpp"
 #include "cone/profiler.hpp"
 #include "display/browser.hpp"
@@ -143,9 +142,8 @@ TEST(Pipeline, MeanBeforeMergeComposite) {
     opts.run_seed = seed;
     reps.push_back(cone::profile_run(run, opts));
   }
-  const ExperimentEnv env{
-      {"a", &reps[0]}, {"b", &reps[1]}, {"c", &reps[2]}};
-  const Experiment averaged = eval_expr("mean(a, b, c)", env);
+  const Experiment* series[] = {&reps[0], &reps[1], &reps[2]};
+  const Experiment averaged = mean(series);
   opts.jitter_sigma = 0.0;
   const Experiment truth = cone::profile_run(run, opts);
 

@@ -4,15 +4,18 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
-#include "algebra/composite.hpp"
+#include "algebra/operators.hpp"
 #include "common/error.hpp"
+#include "io/cube_format.hpp"
 #include "testutil.hpp"
 
 namespace cube::query {
 namespace {
 
 using cube::testing::make_small;
+using cube::testing::make_variant;
 
 /// Exact (bitwise-comparable) severity equality over identical domains.
 void expect_severity_identical(const Experiment& a, const Experiment& b) {
@@ -75,18 +78,18 @@ class QueryEngineTest : public ::testing::Test {
 
 constexpr const char* kQuery =
     "diff(mean(attr(run=before)), mean(attr(run=after)))";
-constexpr const char* kDirect = "diff(mean(a1, a2, a3), mean(b1, b2))";
 
 TEST_F(QueryEngineTest, MatchesDirectEvalAtEveryThreadCountAndCacheMode) {
   populate_before_after();
 
-  // Reference: the plain composite pipeline over the same stored files.
-  const std::vector<std::string> ids = {"a1", "a2", "a3", "b1", "b2"};
+  // Reference: direct operator calls over the same stored files.
   std::vector<Experiment> loaded;
-  ExperimentEnv env;
-  for (const std::string& id : ids) loaded.push_back(repo_->load(id));
-  for (std::size_t i = 0; i < ids.size(); ++i) env[ids[i]] = &loaded[i];
-  const Experiment reference = eval_expr(kDirect, env);
+  for (const char* id : {"a1", "a2", "a3", "b1", "b2"}) {
+    loaded.push_back(repo_->load(id));
+  }
+  const Experiment* before[] = {&loaded[0], &loaded[1], &loaded[2]};
+  const Experiment* after[] = {&loaded[3], &loaded[4]};
+  const Experiment reference = difference(mean(before), mean(after));
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     for (const bool cache : {false, true}) {
@@ -262,6 +265,145 @@ TEST_F(QueryEngineTest, SeriesLoadsShareInternedMetadata) {
   EXPECT_EQ(result.experiment.metadata_ptr().get(),
             repo_->interner().lookup(
                 result.experiment.metadata().digest()).get());
+}
+
+// --- env mode: bare identifiers bound to caller-owned experiments ---------
+
+Experiment eval_env(std::string_view text, const ExperimentEnv& env,
+                    std::size_t threads = 1) {
+  return QueryEngine(env, {.threads = threads}).run(text).experiment;
+}
+
+std::string xml_of(const Experiment& e) {
+  std::ostringstream out;
+  write_cube_xml(e, out);
+  return out.str();
+}
+
+TEST(ExprEval, LoadClonesFromEnvironment) {
+  const Experiment a = make_small();
+  const std::string before = xml_of(a);
+  for (const std::size_t threads : {1u, 4u}) {
+    // The root is the borrowed leaf itself: the result is an equal copy
+    // and the caller's experiment is left intact.
+    const Experiment out = eval_env("small", {{"small", &a}}, threads);
+    EXPECT_EQ(out.name(), "small");
+    EXPECT_EQ(xml_of(out), before);
+    EXPECT_EQ(xml_of(a), before);
+  }
+}
+
+TEST(ExprEval, UnboundNameThrows) {
+  EXPECT_THROW((void)eval_env("nope", {}), OperationError);
+}
+
+TEST(ExprEval, DiffRequiresTwoArgs) {
+  const Experiment a = make_small();
+  EXPECT_THROW((void)eval_env("diff(a)", {{"a", &a}}), OperationError);
+  EXPECT_THROW((void)eval_env("diff(a, a, a)", {{"a", &a}}), OperationError);
+}
+
+TEST(ExprEval, DiffOfMeansMatchesManualComposition) {
+  Experiment a1 = make_small(StorageKind::Dense, "a1");
+  Experiment a2 = make_small(StorageKind::Dense, "a2");
+  Experiment b1 = make_small(StorageKind::Dense, "b1");
+  a1.severity().set(0, 0, 0, 10.0);
+  a2.severity().set(0, 0, 0, 20.0);
+  b1.severity().set(0, 0, 0, 5.0);
+
+  const Experiment out = eval_env("diff(mean(a1, a2), b1)",
+                                  {{"a1", &a1}, {"a2", &a2}, {"b1", &b1}});
+  EXPECT_DOUBLE_EQ(out.severity().get(0, 0, 0), 15.0 - 5.0);
+  EXPECT_EQ(out.kind(), ExperimentKind::Derived);
+}
+
+TEST(ExprEval, MergeAndExtremaWork) {
+  const Experiment a = make_small();
+  const Experiment b = make_variant();
+  const ExperimentEnv env{{"a", &a}, {"b", &b}};
+  EXPECT_NO_THROW((void)eval_env("merge(a, b)", env));
+  EXPECT_NO_THROW((void)eval_env("min(a, b)", env));
+  EXPECT_NO_THROW((void)eval_env("max(a, b)", env));
+}
+
+TEST(ExprEval, DeepNestingComposes) {
+  const Experiment a = make_small();
+  const ExperimentEnv env{{"a", &a}};
+  // Closure: any depth of composition stays in the experiment space.
+  const Experiment out =
+      eval_env("diff(mean(a, a, a), min(a, max(a, a)))", env);
+  EXPECT_NO_THROW(out.metadata().validate());
+  for (MetricIndex m = 0; m < out.metadata().num_metrics(); ++m) {
+    for (CnodeIndex c = 0; c < out.metadata().num_cnodes(); ++c) {
+      for (ThreadIndex t = 0; t < out.metadata().num_threads(); ++t) {
+        EXPECT_NEAR(out.severity().get(m, c, t), 0.0, 1e-12);
+      }
+    }
+  }
+}
+
+TEST(QueryEngineEnvTest, BitIdenticalToDirectOperatorsAtOneAndFourThreads) {
+  const Experiment a = make_small(StorageKind::Dense, "a");
+  const Experiment b = make_variant(StorageKind::Sparse, "b");
+  Experiment c = make_small(StorageKind::Dense, "c");
+  c.severity().set(0, 1, 2, 7.25);
+  const ExperimentEnv env{{"a", &a}, {"b", &b}, {"c", &c}};
+
+  const Experiment* abc[] = {&a, &b, &c};
+  const Experiment* ac[] = {&a, &c};
+  const Experiment* ba[] = {&b, &a};
+  const std::string want = xml_of(difference(
+      mean(abc), merge(minimum(ac), maximum(ba))));
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(xml_of(eval_env(
+                  "diff(mean(a, b, c), merge(min(a, c), max(b, a)))", env,
+                  threads)),
+              want);
+  }
+}
+
+TEST(QueryEngineEnvTest, SharedLeafIsPlannedOnceAndNeverCached) {
+  const Experiment a = make_small(StorageKind::Dense, "a");
+  const Experiment b = make_small(StorageKind::Dense, "b");
+  const ExperimentEnv env{{"a", &a}, {"b", &b}};
+  QueryEngine engine(env, {.threads = 2});
+  EXPECT_FALSE(engine.options().use_cache);
+  EXPECT_FALSE(engine.options().store_derived);
+  const QueryResult result = engine.run("diff(mean(a, b), a)");
+  EXPECT_EQ(result.canonical, "diff(mean(a, b), a)");
+  EXPECT_EQ(result.stats.plan_nodes, 4u);  // a, b, mean, diff
+  EXPECT_EQ(result.stats.cse_reused, 1u);
+  EXPECT_EQ(result.stats.nodes_evaluated, 2u);
+  EXPECT_EQ(result.stats.cache_hits + result.stats.cache_misses, 0u);
+}
+
+TEST(QueryEngineEnvTest, OperatorOptionsPropagate) {
+  const Experiment a = make_small();
+  QueryOptions options;
+  options.threads = 1;
+  options.operators.storage = StorageKind::Sparse;
+  const ExperimentEnv env{{"a", &a}};
+  EXPECT_EQ(QueryEngine(env, options).run("mean(a, a)").experiment
+                .severity()
+                .kind(),
+            StorageKind::Sparse);
+}
+
+TEST(QueryEngineEnvTest, SelectorsNeedARepository) {
+  const Experiment a = make_small();
+  const ExperimentEnv env{{"a", &a}};
+  for (const char* text :
+       {"mean(attr(run=before))", "id(a)", "diff(a, series(run))"}) {
+    try {
+      (void)eval_env(text, env);
+      FAIL() << text << " evaluated without a repository";
+    } catch (const OperationError& e) {
+      EXPECT_NE(std::string(e.what()).find("cube_query --repo"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

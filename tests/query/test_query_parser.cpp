@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
-#include "testutil.hpp"
 
 namespace cube::query {
 namespace {
-
-using cube::testing::make_small;
 
 TEST(QueryParserTest, PlainCompositeGrammarStillParses) {
   const auto e = parse_query("diff(mean(a, b), c)");
@@ -50,29 +49,85 @@ TEST(QueryParserTest, MalformedInputThrows) {
   EXPECT_THROW((void)parse_query("a b"), Error);
 }
 
-TEST(QueryParserTest, ToCompositeLowersRefsAndOperators) {
-  const Experiment a = make_small(StorageKind::Dense, "a");
-  const Experiment b = make_small(StorageKind::Dense, "b");
-  const ExperimentEnv env{{"a", &a}, {"b", &b}};
-  const Experiment via_query = eval_query_with_env("diff(a, b)", env);
-  const Experiment direct = eval_expr("diff(a, b)", env);
-  ASSERT_EQ(via_query.metadata().num_metrics(),
-            direct.metadata().num_metrics());
-  for (MetricIndex m = 0; m < direct.metadata().num_metrics(); ++m) {
-    for (CnodeIndex c = 0; c < direct.metadata().num_cnodes(); ++c) {
-      for (ThreadIndex t = 0; t < direct.metadata().num_threads(); ++t) {
-        ASSERT_EQ(via_query.severity().get(m, c, t),
-                  direct.severity().get(m, c, t));
-      }
+/// `levels` nested applications of mean around one leaf.
+std::string nested_means(std::size_t levels) {
+  std::string text;
+  text.reserve(6 * levels + 1);
+  for (std::size_t i = 0; i < levels; ++i) text += "mean(";
+  text += 'a';
+  text.append(levels, ')');
+  return text;
+}
+
+TEST(QueryParserTest, NestingIsBoundedWithATypedError) {
+  const auto deepest = parse_query(nested_means(kMaxQueryDepth));
+  EXPECT_EQ(deepest->str(), nested_means(kMaxQueryDepth));
+  for (const std::size_t levels : {kMaxQueryDepth + 1, std::size_t{100000}}) {
+    try {
+      (void)parse_query(nested_means(levels));
+      FAIL() << levels << " levels parsed";
+    } catch (const Error& e) {
+      // The offset names the first application past the bound.
+      EXPECT_NE(std::string(e.what()).find(
+                    "offset " + std::to_string(5 * kMaxQueryDepth + 4)),
+                std::string::npos)
+          << e.what();
     }
   }
 }
 
-TEST(QueryParserTest, ToCompositeRejectsSelectors) {
-  const ExperimentEnv env;
-  EXPECT_THROW((void)eval_query_with_env("mean(attr(run=before))", env),
-               OperationError);
-  EXPECT_THROW((void)parse_query("id(x)")->to_composite(), OperationError);
+// The grammar's operator and identifier rules.
+
+TEST(ExprParser, ParsesIdentifier) {
+  const auto e = parse_query("before");
+  EXPECT_EQ(e->kind(), QueryExpr::Kind::Ref);
+  EXPECT_EQ(e->name(), "before");
+  EXPECT_EQ(e->str(), "before");
+}
+
+TEST(ExprParser, ParsesNestedComposite) {
+  const auto e = parse_query("diff(mean(a1, a2), mean(b1, b2))");
+  EXPECT_EQ(e->op(), QueryExpr::Op::Diff);
+  ASSERT_EQ(e->args().size(), 2u);
+  EXPECT_EQ(e->args()[0]->op(), QueryExpr::Op::Mean);
+  EXPECT_EQ(e->str(), "diff(mean(a1, a2), mean(b1, b2))");
+}
+
+TEST(ExprParser, AcceptsAliases) {
+  EXPECT_EQ(parse_query("difference(a, b)")->op(), QueryExpr::Op::Diff);
+  EXPECT_EQ(parse_query("avg(a)")->op(), QueryExpr::Op::Mean);
+}
+
+TEST(ExprParser, WhitespaceInsensitive) {
+  const auto e = parse_query("  merge ( a ,b )  ");
+  EXPECT_EQ(e->op(), QueryExpr::Op::Merge);
+  EXPECT_EQ(e->str(), "merge(a, b)");
+}
+
+TEST(ExprParser, IdentifiersAllowDotsAndDashes) {
+  const auto e = parse_query("run-1.cube");
+  EXPECT_EQ(e->kind(), QueryExpr::Kind::Ref);
+  EXPECT_EQ(e->name(), "run-1.cube");
+}
+
+TEST(ExprParser, RejectsUnknownOperator) {
+  EXPECT_THROW((void)parse_query("frobnicate(a, b)"), Error);
+}
+
+TEST(ExprParser, RejectsTrailingInput) {
+  EXPECT_THROW((void)parse_query("a b"), Error);
+}
+
+TEST(ExprParser, RejectsEmptyArgumentList) {
+  EXPECT_THROW((void)parse_query("mean()"), Error);
+}
+
+TEST(ExprParser, RejectsUnterminatedList) {
+  EXPECT_THROW((void)parse_query("mean(a, b"), Error);
+}
+
+TEST(ExprParser, RejectsEmptyInput) {
+  EXPECT_THROW((void)parse_query("   "), Error);
 }
 
 }  // namespace

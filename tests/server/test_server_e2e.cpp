@@ -189,6 +189,32 @@ TEST_F(ServerE2eTest, RemoteErrorsCarryCategories) {
             Served::Computed);
 }
 
+TEST_F(ServerE2eTest, DeeplyNestedQueryGetsParseErrorAndSessionSurvives) {
+  // 100 000 nested applications (~600 KB, far under the payload cap): an
+  // unbounded recursive-descent parse overflows the session thread's stack.
+  constexpr std::size_t kLevels = 100000;
+  std::string deep;
+  for (std::size_t i = 0; i < kLevels; ++i) deep += "mean(";
+  deep += a_;
+  deep.append(kLevels, ')');
+
+  CubeClient client(client_config());
+  try {
+    (void)client.query(deep);
+    FAIL() << "parse error expected";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.payload().category, "parse");
+  }
+  const std::string query = "mean(" + a_ + ", " + b_ + ")";
+  const ClientResult next = client.query(query);
+  ExperimentRepository direct_repo(dir_ / "repo");
+  cube::query::QueryEngine engine(direct_repo, {.threads = 1});
+  std::ostringstream remote_xml, direct_xml;
+  cube::write_cube_xml(next.experiment, remote_xml);
+  cube::write_cube_xml(engine.run(query).experiment, direct_xml);
+  EXPECT_EQ(remote_xml.str(), direct_xml.str());
+}
+
 TEST_F(ServerE2eTest, GarbageMagicGetsProtocolErrorNotACrash) {
   {
     RawConn conn(socket_);
