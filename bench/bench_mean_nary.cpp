@@ -1,5 +1,5 @@
 // Ablation A6/A14: n-ary series reduction in a single batched sweep
-// versus per-operand kernels versus cascading binary operations.
+// versus cascading binary operations.
 //
 // Because the operators are closed, a user could emulate an n-ary summary
 // by cascading binary applications — but each application re-runs metadata
@@ -8,13 +8,13 @@
 // integrates once and folds all operands per SoA tile in ONE sweep.
 //
 // The benchmarks sweep the batch width N in {2..64} over the four operand
-// classes (dense/sparse x identity/remap), with per-operand and
-// scalar-SIMD ablations.  `--verify` runs a self-checking smoke for CI:
-// it asserts the batched path actually fired on a 64-run dense series
-// (one application, width 64, single chunked sweep), that all four paths
-// agree bit-for-bit, and that batching beats the pre-batch configuration
-// (63 binary steps over the per-operand scalar kernels) end-to-end —
-// ~4x measured, gated at 3x for noise headroom.
+// classes (dense/sparse x identity/remap), with a scalar-SIMD ablation.
+// `--verify` runs a self-checking smoke for CI: it asserts the sweep
+// reduced a 64-run dense series in one application (width 64, single
+// chunked sweep), that the scalar and SIMD sweeps agree bit-for-bit with
+// the per-cell reference operators (tests/support/reference_ops.hpp), and
+// that the n-ary mean beats 63 scalar binary steps end-to-end — gated at
+// 3x for noise headroom.
 #include <benchmark/benchmark.h>
 
 #include <bit>
@@ -30,6 +30,7 @@
 #include "algebra/simd.hpp"
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
+#include "support/reference_ops.hpp"
 
 namespace {
 
@@ -90,12 +91,11 @@ std::vector<const cube::Experiment*> pointers(
   return ptrs;
 }
 
-/// mean() under the given kernel configuration.
+/// mean() under the given SIMD policy.
 cube::Experiment run_mean(const std::vector<const cube::Experiment*>& ptrs,
-                          bool batch, cube::simd::Policy policy,
+                          cube::simd::Policy policy,
                           cube::obs::MetricsRegistry* metrics = nullptr) {
   cube::OperatorOptions options;
-  options.use_batch_kernels = batch;
   options.simd_policy = policy;
   options.metrics = metrics;
   return cube::mean(std::span<const cube::Experiment* const>(ptrs), options);
@@ -106,7 +106,7 @@ void BM_MeanSinglePass(benchmark::State& state) {
   const auto ptrs = pointers(ops);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        run_mean(ptrs, true, cube::simd::Policy::Auto));
+        run_mean(ptrs, cube::simd::Policy::Auto));
   }
   state.SetLabel(variant_name(Variant(state.range(1))));
 }
@@ -116,17 +116,7 @@ void BM_MeanBatchScalar(benchmark::State& state) {
   const auto ptrs = pointers(ops);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        run_mean(ptrs, true, cube::simd::Policy::ForceScalar));
-  }
-  state.SetLabel(variant_name(Variant(state.range(1))));
-}
-
-void BM_MeanPerOperand(benchmark::State& state) {
-  const auto ops = operands(state.range(0), Variant(state.range(1)));
-  const auto ptrs = pointers(ops);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_mean(ptrs, false, cube::simd::Policy::Auto));
+        run_mean(ptrs, cube::simd::Policy::ForceScalar));
   }
   state.SetLabel(variant_name(Variant(state.range(1))));
 }
@@ -157,7 +147,6 @@ void sweep(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_MeanSinglePass)->Apply(sweep);
 BENCHMARK(BM_MeanBatchScalar)->Apply(sweep);
-BENCHMARK(BM_MeanPerOperand)->Apply(sweep);
 BENCHMARK(BM_MeanCascadedBinary)
     ->Args({8, 0})
     ->Args({16, 0})
@@ -193,14 +182,14 @@ double seconds_of(const std::function<void()>& fn) {
       .count();
 }
 
-/// CI smoke: the batched path must fire on a 64-run dense series, agree
-/// with every other path bit-for-bit, and beat the pre-batch scalar
-/// binary cascade end-to-end (~4x measured, 3x floor).
+/// CI smoke: the sweep must reduce a 64-run dense series in one
+/// application, agree with the reference bit-for-bit in scalar and SIMD
+/// form, and beat the scalar binary cascade end-to-end (3x floor).
 int verify() {
   constexpr std::int64_t kRuns = 64;
   // Mid-size profiles (8 metrics x 512 call paths, 1 MB of severity per
   // run): the batched path streams all 64 operands once through
-  // last-level cache, while the old cascade runs 63 binary steps whose
+  // last-level cache, while the cascade runs 63 binary steps whose
   // scalar read-modify-write of a full intermediate experiment per step
   // thrashes L2.  Measured ~4x here (EXPERIMENTS.md A14); very large
   // series flatten to ~3x only because this machine's 260 MB L3 keeps
@@ -213,7 +202,7 @@ int verify() {
 
   cube::obs::MetricsRegistry stats;
   cube::Experiment batched =
-      run_mean(ptrs, true, cube::simd::Policy::Auto, &stats);
+      run_mean(ptrs, cube::simd::Policy::Auto, &stats);
   const auto count = [&stats](const char* name) {
     return stats.counter(name).value();
   };
@@ -235,43 +224,34 @@ int verify() {
     return 1;
   }
 
-  cube::OperatorOptions reference;
-  reference.use_bulk_kernels = false;
-  const cube::Experiment want =
-      cube::mean(std::span<const cube::Experiment* const>(ptrs), reference);
+  const cube::Experiment want = cube::reference::mean(
+      std::span<const cube::Experiment* const>(ptrs));
   if (!bit_identical(batched, want) ||
-      !bit_identical(run_mean(ptrs, true, cube::simd::Policy::ForceScalar),
-                     want) ||
-      !bit_identical(run_mean(ptrs, false, cube::simd::Policy::Auto), want)) {
-    std::printf("FAIL: kernel paths disagree with the reference\n");
+      !bit_identical(run_mean(ptrs, cube::simd::Policy::ForceScalar),
+                     want)) {
+    std::printf("FAIL: the sweep disagrees with the reference\n");
     return 1;
   }
-  std::printf("bit-identity: reference == per-operand == batch-scalar == "
-              "batch-simd\n");
+  std::printf("bit-identity: reference == batch-scalar == batch-simd\n");
 
-  // End-to-end, new versus old: one batched SIMD n-ary mean against the
-  // path the same series took before the batched layout existed — 63
-  // binary applications over the per-operand scalar kernels, each one
-  // re-integrating metadata and allocating a full intermediate
-  // experiment.  (A binary mean with default options would itself take
-  // the new width-2 batched path now, so the cascade pins the pre-batch
-  // configuration explicitly.)  Warmed by the runs above; take the best
-  // of 3 to damp scheduler noise.
-  cube::OperatorOptions pre_batch;
-  pre_batch.use_batch_kernels = false;
-  pre_batch.simd_policy = cube::simd::Policy::ForceScalar;
+  // End-to-end: one batched SIMD n-ary mean against 63 binary
+  // applications over the scalar reduction, each one re-integrating
+  // metadata and allocating a full intermediate experiment.  Warmed by
+  // the runs above; take the best of 3 to damp scheduler noise.
+  cube::OperatorOptions scalar;
+  scalar.simd_policy = cube::simd::Policy::ForceScalar;
   double batched_s = 1e9, cascade_s = 1e9;
   for (int rep = 0; rep < 3; ++rep) {
     batched_s = std::min(batched_s, seconds_of([&] {
       benchmark::DoNotOptimize(
-          run_mean(ptrs, true, cube::simd::Policy::Auto));
+          run_mean(ptrs, cube::simd::Policy::Auto));
     }));
     cascade_s = std::min(cascade_s, seconds_of([&] {
       cube::Experiment acc = ops[0].clone();
       for (std::size_t i = 1; i < ops.size(); ++i) {
         const cube::Experiment* pair[] = {&acc, &ops[i]};
         acc = cube::mean(std::span<const cube::Experiment* const>(pair, 2),
-                         pre_batch);
+                         scalar);
       }
       benchmark::DoNotOptimize(acc);
     }));
@@ -280,7 +260,9 @@ int verify() {
   std::printf("batched %.3f ms vs scalar binary cascade %.3f ms: %.1fx\n",
               batched_s * 1e3, cascade_s * 1e3, speedup);
   // Typically ~4x on an idle core (EXPERIMENTS.md A14); assert a 3x
-  // floor so a noisy neighbour on a shared vCPU cannot flake CI.
+  // floor so a noisy neighbour on a shared vCPU cannot flake CI.  The
+  // floor assumes a vector backend: with CUBE_FORCE_SCALAR both legs are
+  // scalar and the ratio reads ~2x.
   if (speedup < 3.0) {
     std::printf("FAIL: expected >= 3x over the scalar binary cascade\n");
     return 1;

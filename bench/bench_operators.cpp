@@ -81,13 +81,12 @@ void BM_DifferenceSparseResult(benchmark::State& state) {
 }
 BENCHMARK(BM_DifferenceSparseResult)->Arg(256)->Arg(1024);
 
-// --- Ablation A10: bulk kernels vs the per-cell reference path ------------
+// --- Ablation A10: the severity sweep over operand classes ----------------
 
 /// Sparse operands + sparse result at a fill rate given in permille
-/// (1000 = fully dense occupancy down to 1 = 0.1 %).  The bulk sparse
-/// kernels cost O(nnz); the per-cell reference walks every cell through
-/// the virtual get/set interface regardless of occupancy.  The plane is
-/// sized like a large parallel machine (1M cells) — the regime sparse
+/// (1000 = fully dense occupancy down to 1 = 0.1 %).  Kept-sparse operands
+/// cost O(nnz); at or past half occupancy they are densified.  The plane
+/// is sized like a large parallel machine (1M cells) — the regime sparse
 /// storage exists for.
 std::pair<cube::Experiment, cube::Experiment> sparse_pair(
     int64_t fill_permille) {
@@ -113,44 +112,23 @@ void BM_DifferenceSparseFill(benchmark::State& state) {
 }
 BENCHMARK(BM_DifferenceSparseFill)->Arg(1000)->Arg(100)->Arg(10)->Arg(1);
 
-void BM_DifferenceSparseFillReference(benchmark::State& state) {
-  const auto [a, b] = sparse_pair(state.range(0));
-  cube::OperatorOptions opts;
-  opts.storage = cube::StorageKind::Sparse;
-  opts.use_bulk_kernels = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cube::difference(a, b, opts));
-  }
-}
-BENCHMARK(BM_DifferenceSparseFillReference)
-    ->Arg(1000)
-    ->Arg(100)
-    ->Arg(10)
-    ->Arg(1);
-
 /// Identical-metadata dense operands: integration yields identity
-/// mappings, so the bulk path runs the flat vectorizable kernel over
-/// contiguous rows instead of the per-cell scatter.
+/// mappings, so the sweep borrows both operands' contiguous cells.
 void BM_DifferenceIdentityDense(benchmark::State& state) {
   Shape s = shape_for(state.range(0));
   const cube::Experiment a = make_experiment(s);
   s.seed = 2;
   const cube::Experiment b = make_experiment(s);
-  cube::OperatorOptions opts;
-  opts.use_bulk_kernels = state.range(1) != 0;
+  const cube::OperatorOptions opts;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cube::difference(a, b, opts));
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) * state.range(0) * 8 * 16);
 }
-BENCHMARK(BM_DifferenceIdentityDense)
-    ->ArgNames({"cnodes", "bulk"})
-    ->Args({1024, 1})
-    ->Args({1024, 0});
+BENCHMARK(BM_DifferenceIdentityDense)->ArgNames({"cnodes"})->Arg(1024);
 
-// mode: 0 = per-cell reference, 1 = per-operand bulk kernels,
-//       2 = batched SoA scalar, 3 = batched SoA + SIMD (docs/KERNELS.md).
+// simd: 0 = scalar reduction, 1 = best SIMD backend (docs/KERNELS.md).
 void BM_MeanIdentityDense(benchmark::State& state) {
   Shape s = shape_for(state.range(0));
   std::vector<cube::Experiment> operands;
@@ -161,11 +139,8 @@ void BM_MeanIdentityDense(benchmark::State& state) {
   std::vector<const cube::Experiment*> ptrs;
   for (const auto& e : operands) ptrs.push_back(&e);
   cube::OperatorOptions opts;
-  const std::int64_t mode = state.range(1);
-  opts.use_bulk_kernels = mode >= 1;
-  opts.use_batch_kernels = mode >= 2;
-  opts.simd_policy = mode >= 3 ? cube::simd::Policy::Auto
-                               : cube::simd::Policy::ForceScalar;
+  opts.simd_policy = state.range(1) != 0 ? cube::simd::Policy::Auto
+                                         : cube::simd::Policy::ForceScalar;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         cube::mean(std::span<const cube::Experiment* const>(ptrs), opts));
@@ -174,9 +149,7 @@ void BM_MeanIdentityDense(benchmark::State& state) {
                           state.range(0) * 8 * 16 * 4);
 }
 BENCHMARK(BM_MeanIdentityDense)
-    ->ArgNames({"cnodes", "mode"})
-    ->Args({1024, 3})
-    ->Args({1024, 2})
+    ->ArgNames({"cnodes", "simd"})
     ->Args({1024, 1})
     ->Args({1024, 0});
 

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -262,8 +263,9 @@ int run(const Options& opt) {
   // The same warm replay twice — alone, then with a concurrent scraper
   // hammering Stats and Health over its own session — to price what a
   // monitoring agent costs the query path.  Stats snapshots the registry
-  // and the slow-query log under their mutexes; the gate asserts the
+  // and the slow-query log under their mutexes; the full run asserts the
   // scrape cannot shift the warm median materially (EXPERIMENTS.md A16).
+  std::atomic<int> replay_failures{0};
   auto warm_replay = [&](int rounds) {
     std::vector<double> rt;
     std::mutex rt_mutex;
@@ -275,8 +277,12 @@ int run(const Options& opt) {
         for (int round = 0; round < rounds; ++round) {
           const std::string& q = hot[(c + round) % hot.size()];
           const double t0 = now_ms();
-          (void)client.query(q);
-          local.push_back(now_ms() - t0);
+          try {
+            (void)client.query(q);
+            local.push_back(now_ms() - t0);
+          } catch (const std::exception&) {
+            replay_failures.fetch_add(1);
+          }
         }
         std::lock_guard<std::mutex> lock(rt_mutex);
         rt.insert(rt.end(), local.begin(), local.end());
@@ -289,12 +295,17 @@ int run(const Options& opt) {
   const std::vector<double> quiet_rt = warm_replay(scrape_rounds);
   std::atomic<bool> scrape_stop{false};
   std::atomic<int> scrapes{0};
+  std::atomic<int> scrape_failures{0};
   std::thread scraper([&] {
     CubeClient monitor(client_config);
     while (!scrape_stop.load(std::memory_order_relaxed)) {
-      (void)monitor.stats();
-      (void)monitor.health();
-      scrapes.fetch_add(1, std::memory_order_relaxed);
+      try {
+        (void)monitor.stats();
+        (void)monitor.health();
+        scrapes.fetch_add(1, std::memory_order_relaxed);
+      } catch (const std::exception&) {
+        scrape_failures.fetch_add(1, std::memory_order_relaxed);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -445,16 +456,26 @@ int run(const Options& opt) {
                  static_cast<unsigned long long>(budget_cache_bytes));
     rc = 1;
   }
-  // Quick runs have too few samples for a tight latency gate; the full
-  // run holds the monitored median within 2% of the quiet one.
-  const double scrape_tolerance = opt.quick ? 1.5 : 1.02;
-  if (scrapes.load() == 0 ||
-      (quiet_p50 > 0 && scraped_p50 / quiet_p50 > scrape_tolerance)) {
+  // Telemetry: the scraper must have run, every Stats/Health request must
+  // have been answered and no warm query may fail under it.  Only the
+  // full run also gates the scraped warm median, at 2% of the quiet one:
+  // on --quick's 8 rounds per client the shift read between -52% and
+  // +120% on unchanged code, wider than any bound that would still catch
+  // a regression, so quick runs only print it.
+  if (scrapes.load() == 0 || scrape_failures.load() != 0 ||
+      replay_failures.load() != 0) {
+    std::fprintf(stderr,
+                 "FAIL: telemetry phase: %d scrapes answered, %d "
+                 "unanswered, %d failed warm queries\n",
+                 scrapes.load(), scrape_failures.load(),
+                 replay_failures.load());
+    rc = 1;
+  }
+  if (!opt.quick && quiet_p50 > 0 && scraped_p50 / quiet_p50 > 1.02) {
     std::fprintf(stderr,
                  "FAIL: telemetry scrape shifted the warm p50 from %.3f "
-                 "to %.3f ms (tolerance %.0f%%, %d scrapes)\n",
-                 quiet_p50, scraped_p50, (scrape_tolerance - 1.0) * 100.0,
-                 scrapes.load());
+                 "to %.3f ms (tolerance 2%%, %d scrapes)\n",
+                 quiet_p50, scraped_p50, scrapes.load());
     rc = 1;
   }
   if (rss_growth_kb > 16 * 1024) {

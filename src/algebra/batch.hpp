@@ -1,37 +1,33 @@
-// Batched structure-of-arrays severity kernels (docs/KERNELS.md).
+// The severity sweep engine: batched structure-of-arrays tiles
+// (docs/KERNELS.md).
 //
-// The severity phase of an n-ary operator runs as ONE sweep through the
+// The severity phase of every operator runs as ONE sweep through the
 // result's flattened cell space: the space is partitioned into the fixed
-// chunk grid (shared with the per-operand kernels of docs/STORAGE.md),
-// each chunk is walked in tiles of kTileCells cells, and for every tile
-// each operand contributes one row of a structure-of-arrays staging block
-// — identity x dense operands borrow their cell span directly (zero
-// copies), remapped and sparse operands gather into the tile once — after
-// which a simd reduction folds the N rows per cell in operand order.
+// chunk grid, each chunk is walked in tiles of kTileCells cells, and for
+// every tile each operand contributes rows of a structure-of-arrays
+// staging block — identity x dense operands borrow their cell span
+// directly (zero copies), remapped and sparse operands gather into the
+// tile once — after which a simd reduction folds the rows per cell in
+// operand order.
 //
-// Precondition of the staging layout: no operand mapping may COALESCE two
-// source cells onto one result cell (per-dimension injectivity, checked
-// by batchable()).  Integration produces injective mappings for
-// well-formed metadata; if a mapping is not injective the operators fall
-// back to the per-operand chunk kernels, which accumulate coalescing
-// contributions exactly like the reference path.
-//
-// This header also hosts the chunking/counter infrastructure shared with
-// the per-operand kernels in operators.cpp.
+// Integration may COALESCE several source rows of one operand onto one
+// result row (sibling call sites of one callee merge into one cnode).  The
+// reduction decides how such contributions enter the tile (Coalesce): the
+// element-wise folds accumulate them in the operand's own row, the linear
+// combinations give each extra contribution its own row.  Both reproduce
+// the per-cell reference operators (tests/support/reference_ops.hpp) bit
+// for bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "algebra/integration.hpp"
 #include "algebra/operators.hpp"
 #include "algebra/simd.hpp"
 #include "model/experiment.hpp"
-#include "obs/metrics.hpp"
 
 namespace cube::batch {
 
@@ -47,75 +43,35 @@ inline constexpr std::size_t kMaxCellChunks = 32;
 /// the reduction is independent per cell.
 inline constexpr std::size_t kTileCells = 4096;
 
+/// The sweep splits [0, cells) into this many contiguous chunks.
 [[nodiscard]] std::size_t num_cell_chunks(std::size_t cells);
 
-/// Shape of the integrated (result) cell space.
-struct OutShape {
-  std::size_t metrics = 0;
-  std::size_t cnodes = 0;
-  std::size_t threads = 0;
-  std::size_t plane = 0;  ///< cnodes * threads
-  std::size_t cells = 0;  ///< metrics * plane
+/// How the sweep reads one operand — the one classification rule shared
+/// by the executor and the plan analyzer.
+enum class Access {
+  Borrow,  ///< identity-mapped dense cells: tiles alias the store
+  Rows,    ///< remapped dense cells: source rows gathered per tile
+  Sparse,  ///< stored non-zeros walked once with a cursor
 };
 
-[[nodiscard]] OutShape shape_of(const Metadata& md);
+/// Classifies an operand of `kind` holding `nnz` non-zeros in `cells`
+/// cells.  A sparse store at least half full is densified first (a
+/// snapshot costs 16 bytes/entry against 8 bytes/cell for a mirror) and
+/// then read like a dense one.
+[[nodiscard]] Access classify_operand(StorageKind kind, std::uint64_t nnz,
+                                      std::uint64_t cells, bool identity);
 
-using SparseSnapshot = std::vector<std::pair<std::uint64_t, Severity>>;
-
-/// The kernel counters of OperatorOptions::metrics, resolved ONCE per
-/// operator application (registration takes the registry mutex; updates
-/// are relaxed atomics).  All-null when no registry was supplied.
-struct KernelCounters {
-  obs::Counter* identity_dense_cells = nullptr;
-  obs::Counter* remap_dense_cells = nullptr;
-  obs::Counter* identity_sparse_nnz = nullptr;
-  obs::Counter* remap_sparse_nnz = nullptr;
-  obs::Counter* chunks = nullptr;
-  obs::Counter* applications = nullptr;
-  obs::Counter* batch_tiles = nullptr;
-  obs::Counter* batch_width = nullptr;
-
-  static KernelCounters resolve(obs::MetricsRegistry* registry);
+/// How contributions of one operand that coalesce onto one result cell
+/// enter the tile.
+enum class Coalesce {
+  /// Accumulated in the operand's row in source order: the element-wise
+  /// folds (min/max/stddev/variation) see one value per operand.
+  InRow,
+  /// The j-th contribution goes to the operand's j-th row, every row with
+  /// the operand's factor: the linear combinations (mean, difference,
+  /// merge) add each contribution separately, in source order.
+  SplitRows,
 };
-
-/// Per-chunk kernel counters, flushed once into the shared registry.
-struct LocalKernelStats {
-  std::uint64_t identity_dense_cells = 0;
-  std::uint64_t remap_dense_cells = 0;
-  std::uint64_t identity_sparse_nnz = 0;
-  std::uint64_t remap_sparse_nnz = 0;
-  std::uint64_t batch_tiles = 0;
-
-  void flush(const KernelCounters& kc) const;
-};
-
-/// Runs body(chunk, cell_lo, cell_hi) over the fixed partition of
-/// [0, cells) into num_cell_chunks(cells) contiguous ranges.
-void run_cell_chunked(
-    const OperatorOptions& options, const KernelCounters& kc, std::size_t cells,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
-/// Writes the non-zero entries of per-chunk staging buffers into a sparse
-/// result, in chunk order.  Chunks cover disjoint cell ranges, so the
-/// stored values are independent of execution order by construction.
-void merge_staged(Experiment& out, const OutShape& os,
-                  std::vector<SparseSnapshot>& staged);
-
-/// Releases the file-backed pages of every identity-mapped operand for
-/// the consumed result cell range [lo, hi) — the streaming hook behind
-/// OperatorOptions::release_operand_pages.  Identity mappings make source
-/// and result cell indices coincide, so the range translates directly;
-/// remapped or owned operands are skipped.
-void release_consumed(std::span<const Experiment* const> sources,
-                      std::span<const OperandMapping> mappings,
-                      std::size_t lo, std::size_t hi);
-
-/// True if every mapping is per-dimension injective into the result space
-/// (no two source cells coalesce onto one result cell) — the precondition
-/// of the SoA staging layout.  kNoIndex entries (merge ownership masking)
-/// are skipped.
-[[nodiscard]] bool batchable(std::span<const OperandMapping> mappings,
-                             const OutShape& os);
 
 /// Per-tile reduction: overwrite acc[0, n) with a per-cell fold over the
 /// nrows operand rows (simd::reduce_sum, simd::reduce_extremum, or the
@@ -123,15 +79,19 @@ void release_consumed(std::span<const Experiment* const> sources,
 using TileReduce = std::function<void(Severity* acc, const simd::TileRow* rows,
                                       std::size_t nrows, std::size_t n)>;
 
-/// The batched severity phase: one chunked sweep staging all N operands
-/// per tile and reducing them with `reduce`.  Requires batchable()
-/// mappings.  Dense results are reduced straight into their cell spans;
-/// sparse results go through per-chunk staging merged in fixed chunk
-/// order.  Bit-identical at any thread count, tile size, and batch width:
-/// the fold order per cell is the operand order, always.
+/// The severity phase of every operator: one chunked sweep staging all N
+/// operands per tile and reducing them with `reduce`.  Mappings may mask
+/// metrics to kNoIndex (merge ownership) and may coalesce cnodes.  Dense
+/// results are reduced straight into their cell spans; sparse results go
+/// through per-chunk staging merged in fixed chunk order.  Bit-identical
+/// at any thread count, tile size, and batch width: the fold order per
+/// cell is the operand order, then the source order, always.  Each source
+/// row is visited once per tile it intersects, whatever `coalesce` says,
+/// and the kernel counters of OperatorOptions::metrics record the sweep.
 void reduce_batched(std::span<const Experiment* const> sources,
                     std::span<const OperandMapping> mappings,
                     std::span<const double> factors, Experiment& out,
-                    const OperatorOptions& options, const TileReduce& reduce);
+                    const OperatorOptions& options, const TileReduce& reduce,
+                    Coalesce coalesce);
 
 }  // namespace cube::batch

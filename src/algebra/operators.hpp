@@ -24,7 +24,7 @@ namespace cube {
 /// concurrently (ThreadPool::parallel_for has this shape).  Operators
 /// partition the FLATTENED CELL SPACE of the result into chunks, one
 /// body call per chunk; every output cell belongs to exactly one chunk
-/// and receives its additions in the same operand order as sequential
+/// and receives its contributions in the same operand order as sequential
 /// evaluation, so results are bit-identical at any thread count.  The
 /// chunking itself is independent of the executor.  Dense results are
 /// written in place (disjoint ranges); sparse results go through
@@ -32,7 +32,7 @@ namespace cube {
 using ParallelFor =
     std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
-/// Stable names of the bulk-kernel counters operators record into
+/// Stable names of the severity-sweep counters operators record into
 /// OperatorOptions::metrics (docs/STORAGE.md, docs/OBSERVABILITY.md).
 /// Chunks of one application run concurrently; Counter updates are relaxed
 /// atomics, so the names can be bumped from any worker.
@@ -51,22 +51,13 @@ inline constexpr const char* kRemapSparseNnz =
     "algebra.kernel.remap_sparse_nnz";
 /// Cell chunks executed across all operator applications.
 inline constexpr const char* kChunks = "algebra.kernel.chunks";
-/// Operator applications that ran through the bulk path.
+/// Operator applications whose severity phase ran.
 inline constexpr const char* kApplications = "algebra.kernel.applications";
-/// SoA tiles staged and reduced by the batched n-ary kernels
-/// (docs/KERNELS.md).  Zero when every application took the per-operand
-/// or reference path.
+/// SoA tiles staged and reduced by the sweep (docs/KERNELS.md).
 inline constexpr const char* kBatchTiles = "algebra.kernel.batch_tiles";
-/// Sum of operand counts over batched applications; batch_width /
-/// applications is the average batch width.
+/// Sum of operand counts over applications; batch_width / applications
+/// is the average batch width.
 inline constexpr const char* kBatchWidth = "algebra.kernel.batch_width";
-/// Applications the dispatch sent through the batched SoA path.
-inline constexpr const char* kPathBatched = "algebra.kernel.path_batched";
-/// Applications the dispatch sent through the per-operand chunk kernels —
-/// by opt-out, a non-batchable mapping, or the all-sparse series
-/// heuristic (EXPERIMENTS.md A14).
-inline constexpr const char* kPathPerOperand =
-    "algebra.kernel.path_per_operand";
 }  // namespace kernel_counters
 
 /// Options shared by all operators.
@@ -77,19 +68,6 @@ struct OperatorOptions {
   /// If set, the severity phase of the operator runs cell-chunked through
   /// this executor (see ParallelFor) — for dense AND sparse results.
   ParallelFor parallel_for;
-  /// Use the devirtualized bulk kernels (default).  False selects the
-  /// per-cell reference path, kept as the bit-identical oracle for the
-  /// equivalence suite; the reference path parallelizes dense results
-  /// by metric rows only.
-  bool use_bulk_kernels = true;
-  /// Use the batched structure-of-arrays tile kernels (docs/KERNELS.md)
-  /// for the severity phase (default).  False falls back to the
-  /// per-operand chunk kernels of docs/STORAGE.md — also taken
-  /// automatically per application when an operand mapping coalesces
-  /// source cells.  Both paths are bit-identical to the reference path,
-  /// so this knob never affects results (and is excluded from planner
-  /// cache keys).
-  bool use_batch_kernels = true;
   /// SIMD policy of the batched reduction: Auto picks the best backend
   /// the build and CPU support, ForceScalar pins the scalar oracle.
   /// Bit-identical either way.
@@ -102,7 +80,7 @@ struct OperatorOptions {
   /// stores and remapped operands are untouched.  Never affects results —
   /// released pages refault from the file on the next access.
   bool release_operand_pages = false;
-  /// If non-null, the bulk-kernel counters (kernel_counters above) are
+  /// If non-null, the severity-sweep counters (kernel_counters above) are
   /// accumulated into this registry.  Pass a per-run local registry for
   /// isolated readings (the query engine does), or
   /// &obs::MetricsRegistry::global() to feed the process-wide one.
@@ -123,6 +101,14 @@ struct OperatorOptions {
 /// (paper §3, "we take it from the first one without loss of generality").
 [[nodiscard]] Experiment merge(const Experiment& a, const Experiment& b,
                                const OperatorOptions& options = {});
+
+/// merge's ownership rule over the integrated mappings of its operands:
+/// each integrated metric is owned by the first operand that provides it,
+/// and a copy of every other operand's mapping masks it to kNoIndex
+/// (clearing metric_identity), so the sweep skips the non-owned metric
+/// planes.  The plan analyzer predicts merge costs from the same masks.
+[[nodiscard]] std::vector<OperandMapping> merge_owner_mappings(
+    std::span<const OperandMapping> mappings, std::size_t num_out_metrics);
 
 /// mean(e1..eN): element-wise arithmetic mean over the integrated domain,
 /// to smooth random perturbation across repeated runs or to summarize a

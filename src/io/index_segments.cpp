@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/atomic_write.hpp"
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "io/xml_parser.hpp"
@@ -27,32 +28,6 @@ constexpr const char* kManifestHeader = "cube-repo-manifest 1";
   std::ostringstream buf;
   buf << in.rdbuf();
   return std::move(buf).str();
-}
-
-void write_file_atomic(const std::filesystem::path& target,
-                       std::string_view bytes) {
-  const std::filesystem::path temp = target.string() + ".tmp";
-  {
-    std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      throw IoError("cannot write '" + temp.string() + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code cleanup;
-      std::filesystem::remove(temp, cleanup);
-      throw IoError("write to '" + temp.string() + "' failed");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, target, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(temp, cleanup);
-    throw IoError("cannot replace '" + target.string() + "': " +
-                  ec.message());
-  }
 }
 
 /// "seg-NNNNNN.log" -> NNNNNN, or 0 if the name does not match.

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/atomic_write.hpp"
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -101,28 +102,7 @@ void place_blob(const std::filesystem::path& target,
                 const std::string& bytes) {
   if (std::filesystem::exists(target)) return;
   ensure_parent_dir(target);
-  const std::filesystem::path temp = target.string() + ".tmp";
-  {
-    std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      throw IoError("cannot write blob '" + temp.string() + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code cleanup;
-      std::filesystem::remove(temp, cleanup);
-      throw IoError("blob write failed for '" + target.string() + "'");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, target, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(temp, cleanup);
-    throw IoError("cannot place blob '" + target.string() +
-                  "': " + ec.message());
-  }
+  write_file_atomic(target, bytes);
 }
 
 }  // namespace
@@ -187,13 +167,9 @@ void ExperimentRepository::read_index() {
 }
 
 void ExperimentRepository::write_index() const {
-  // Crash safety: write the full index to a temporary file in the same
-  // directory, then atomically rename it over index.xml.  A crash at any
-  // point leaves either the old or the new index intact, never a torn
-  // one.
-  const std::filesystem::path target = directory_ / kIndexFile;
-  const std::filesystem::path temp =
-      directory_ / (std::string(kIndexFile) + ".tmp");
+  // Crash safety: write_file_atomic renames a complete temporary over
+  // index.xml, so a crash leaves either the old or the new index intact,
+  // never a torn one.
   // Render to a buffer first: the digest of the bytes about to land on
   // disk is what refresh() later compares the on-disk index against.
   std::ostringstream rendered;
@@ -219,28 +195,7 @@ void ExperimentRepository::write_index() const {
     w.finish();
   }
   const std::string bytes = rendered.str();
-  {
-    std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      throw IoError("cannot write repository index in '" +
-                    directory_.string() + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code cleanup;
-      std::filesystem::remove(temp, cleanup);
-      throw IoError("repository index write failed");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, target, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(temp, cleanup);
-    throw IoError("cannot replace repository index '" + target.string() +
-                  "': " + ec.message());
-  }
+  write_file_atomic(directory_ / kIndexFile, bytes);
   index_digest_ = fnv1a(bytes);
 }
 

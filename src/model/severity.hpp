@@ -210,12 +210,12 @@ class SparseSeverity final : public SeverityStore {
   // key = (m * cnodes + c) * threads + t.  Visitation is ALWAYS in
   // ascending key order — i.e. the exact order a per-cell (m, c, t) triple
   // loop touches the non-zero cells — so severity reductions built on it
-  // are bit-identical to the per-cell reference path.
+  // are bit-identical to per-cell reference code.
 
   /// Sorted snapshot of all (flattened key, value) entries, ascending by
   /// key.  O(nnz log nnz) owned (O(nnz) copy when file-backed, already
-  /// sorted); operator kernels take one snapshot per operand and
-  /// binary-search it per chunk instead of re-scanning the hash map.
+  /// sorted); the severity sweep takes one snapshot per operand and
+  /// binary-searches it per chunk instead of re-scanning the hash map.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Severity>> sorted_cells()
       const;
 

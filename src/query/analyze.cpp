@@ -47,21 +47,19 @@ Experiment metadata_probe(std::shared_ptr<const Metadata> metadata) {
 }
 
 /// Traversal count of one REMAPPED dense operand, replicating the
-/// executor's kernel counters exactly.  The row-wise scatter visits each
-/// source (metric, cnode) row once per cell-grid interval its result row
-/// intersects, counting the operand's thread width each time — so a row
-/// straddling an interval boundary is counted twice.  The grid is
-/// deterministic (run_cell_chunked): [0, cells) split into
-/// num_cell_chunks contiguous chunks, each swept in kTileCells tiles
-/// from its own lower bound when the batched path runs (`tiled`), in one
-/// piece otherwise.
+/// executor's kernel counters exactly.  The sweep visits each source
+/// (metric, cnode) row once per tile its result row intersects, counting
+/// the operand's thread width each time — so a row straddling a tile or
+/// chunk boundary is counted twice.  The grid is deterministic: [0, cells)
+/// split into num_cell_chunks contiguous chunks, each swept in kTileCells
+/// tiles from its own lower bound.
 std::uint64_t remap_dense_traversal(const OperandMapping& mapping,
                                     std::size_t src_metrics,
                                     std::size_t src_cnodes,
                                     std::size_t src_threads,
                                     std::size_t out_cnodes,
                                     std::size_t out_threads,
-                                    std::uint64_t out_cells, bool tiled) {
+                                    std::uint64_t out_cells) {
   if (out_cells == 0) return 0;
   const std::uint64_t chunks = batch::num_cell_chunks(out_cells);
   const auto chunk_lo = [&](std::uint64_t k) { return k * out_cells / chunks; };
@@ -89,9 +87,8 @@ std::uint64_t remap_dense_traversal(const OperandMapping& mapping,
         const std::uint64_t olo = std::max(lo, clo);
         const std::uint64_t ohi = std::min(hi, chi);
         if (ohi <= olo) continue;  // empty or non-overlapping chunk
-        intervals += tiled ? (ohi - 1 - clo) / batch::kTileCells -
-                                 (olo - clo) / batch::kTileCells + 1
-                           : 1;
+        intervals += (ohi - 1 - clo) / batch::kTileCells -
+                     (olo - clo) / batch::kTileCells + 1;
       }
       total += intervals * src_threads;
     }
@@ -333,41 +330,38 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
                 "them with measured runs is usually unintended");
     }
 
-    // Cost: per operand, the severity kernels visit its stored non-zeros
-    // (kept sparse) or run a dense sweep — operand preparation densifies
-    // any sparse operand at least half full, so those take the dense
-    // kernels too.  An identity-mapped dense operand sweeps exactly its
-    // own cells; a remapped dense operand re-counts each source row once
-    // per chunk (and, under the batched kernels, per tile) of the
-    // deterministic grid it straddles, replicated by
-    // remap_dense_traversal().
-    batch::OutShape os;
-    os.metrics = cost.metrics;
-    os.cnodes = cost.cnodes;
-    os.threads = cost.threads;
-    os.plane = cost.cnodes * cost.threads;
-    os.cells = cost.cells;
-    const bool tiled = !mappings.empty() &&
-                       options.operators.use_batch_kernels &&
-                       batch::batchable(mappings, os);
+    // Cost: per operand, the sweep visits what batch::classify_operand
+    // says — its stored non-zeros (kept sparse), its own cells (borrowed),
+    // or each source row once per tile it straddles (gathered rows,
+    // replicated by remap_dense_traversal()).  A merge reads each operand
+    // through its owner-masked mapping, exactly as the executor does; the
+    // prediction stays exact unless a kept-sparse operand loses metrics
+    // to the mask, whose non-zeros per metric no header records.
+    if (node.op == QueryExpr::Op::Merge && !mappings.empty()) {
+      mappings = merge_owner_mappings(mappings, cost.metrics);
+    }
     for (std::size_t a = 0; a < node.args.size(); ++a) {
       const NodeCost& c = analysis.nodes[node.args[a]];
-      const bool dense_kernel =
-          c.storage == StorageKind::Dense || 2 * c.nnz >= c.cells;
-      if (!dense_kernel) {
-        cost.cells_traversed += c.nnz;
-      } else if (a < mappings.size() && !mappings[a].identity()) {
-        cost.cells_traversed += remap_dense_traversal(
-            mappings[a], c.metrics, c.cnodes, c.threads, cost.cnodes,
-            cost.threads, cost.cells, tiled);
-      } else {
-        cost.cells_traversed += c.cells;
+      const bool identity = a >= mappings.size() || mappings[a].identity();
+      switch (batch::classify_operand(c.storage, c.nnz, c.cells, identity)) {
+        case batch::Access::Sparse:
+          cost.cells_traversed += c.nnz;
+          if (a < mappings.size() &&
+              std::find(mappings[a].metric_map.begin(),
+                        mappings[a].metric_map.end(),
+                        kNoIndex) != mappings[a].metric_map.end()) {
+            cost.exact = false;
+          }
+          break;
+        case batch::Access::Rows:
+          cost.cells_traversed += remap_dense_traversal(
+              mappings[a], c.metrics, c.cnodes, c.threads, cost.cnodes,
+              cost.threads, cost.cells);
+          break;
+        case batch::Access::Borrow:
+          cost.cells_traversed += c.cells;
+          break;
       }
-    }
-    if (node.op == QueryExpr::Op::Merge) {
-      // Owner-masked mappings may skip a non-owning operand's metric
-      // planes entirely; the sum above is an upper bound.
-      cost.exact = false;
     }
     cost.storage = options.operators.storage;
     if (cost.geometry_known) {
@@ -463,7 +457,8 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
           " cache hit(s), peak resident " +
           std::to_string(analysis.warm.peak_resident_bytes) + " bytes" +
           (analysis.exact ? "" : " (estimates; plan has opaque operands, "
-                                 "owner-masked merges, or sparse results)"));
+                                 "owner-masked sparse merges, or sparse "
+                                 "results)"));
 
   if (options.run_plan_lint) lint_plan(plan, sink);
   return analysis;

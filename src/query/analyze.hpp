@@ -72,17 +72,18 @@ struct NodeCost {
   /// under sparse storage this is an upper bound.
   std::uint64_t nnz = 0;
   /// False when the numbers are estimates instead of exact predictions:
-  /// an opaque operand, a Merge application (owner-masked kernels may
-  /// skip cells), or sparse result storage (nnz is an upper bound).
-  /// Remapped operands stay exact: the analyzer replicates the
-  /// deterministic chunk/tile grid the scatter kernels count against.
+  /// an opaque operand, a Merge whose owner mask drops metrics of a
+  /// kept-sparse operand (its per-metric non-zeros are unknown), or
+  /// sparse result storage (nnz is an upper bound).  Remapped and
+  /// owner-masked dense operands stay exact: the analyzer replicates the
+  /// deterministic chunk/tile grid the sweep counts against.
   bool exact = true;
   /// Warm pass: this node is served from a cached derived cube, so its
   /// subtree never executes.
   bool cached = false;
-  /// Apply nodes: cells the severity kernels visit — per operand, its
+  /// Apply nodes: cells the severity sweep visits — per operand, its
   /// stored non-zeros (kept sparse) or a dense sweep (identity: exactly
-  /// its cells; remapped: rows re-counted per straddled grid chunk/tile);
+  /// its cells; remapped: rows re-counted per straddled grid tile);
   /// matches the sum of the algebra.kernel.* counters.
   std::uint64_t cells_traversed = 0;
   /// File bytes this node reads when executed (operand file or cached
@@ -126,7 +127,7 @@ struct PlanAnalysis {
   /// No error-level plan.* finding fired.
   bool compatible = true;
   /// Every estimate is an exact prediction (no opaque operands, no
-  /// owner-masked merges, no sparse result storage).
+  /// owner-masked sparse merges, no sparse result storage).
   bool exact = true;
   std::uint64_t budget_bytes = 0;
   /// The enforced estimate (warm when use_cache, else cold) exceeds

@@ -1,9 +1,9 @@
-// Randomized equivalence suite for the batched SoA severity kernels
-// (docs/KERNELS.md): the n-ary reductions through the batch path — in
-// scalar and SIMD form — must be BIT-IDENTICAL to both the per-cell
-// reference path (use_bulk_kernels = false) and the per-operand bulk
-// kernels (use_batch_kernels = false), across operators, storage kinds,
-// fill rates, batch widths, and thread counts.
+// Randomized equivalence suite for the batched SoA severity sweep
+// (docs/KERNELS.md), the only severity engine: every operator — in scalar
+// and SIMD form — must be BIT-IDENTICAL to the per-cell reference
+// operators (tests/support/reference_ops.hpp) across storage kinds, fill
+// rates, batch widths, thread counts, and operand metadata — including
+// cnode maps that coalesce sibling call sites onto one result row.
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -26,6 +26,8 @@
 #include "io/severity_format.hpp"
 #include "model/system_factory.hpp"
 #include "obs/metrics.hpp"
+#include "support/reference_ops.hpp"
+#include "testutil.hpp"
 
 namespace cube {
 namespace {
@@ -117,7 +119,7 @@ void expect_bit_identical(const Experiment& got, const Experiment& want,
       << label;
 }
 
-enum class OpKind { Mean, Min, Max, Stddev, Diff, Merge };
+enum class OpKind { Mean, Min, Max, Stddev, Variation, Diff, Merge };
 
 Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
                  const OperatorOptions& options) {
@@ -127,8 +129,28 @@ Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
     case OpKind::Min: return minimum(span, options);
     case OpKind::Max: return maximum(span, options);
     case OpKind::Stddev: return stddev(span, options);
+    case OpKind::Variation: return variation(span, options);
     case OpKind::Diff: return difference(*operands[0], *operands[1], options);
     case OpKind::Merge: return merge(*operands[0], *operands[1], options);
+  }
+  throw std::logic_error("unreachable");
+}
+
+/// The same operator through the per-cell oracle.
+Experiment apply_reference(OpKind op,
+                           const std::vector<const Experiment*>& operands,
+                           const OperatorOptions& options) {
+  const std::span<const Experiment* const> span(operands);
+  switch (op) {
+    case OpKind::Mean: return reference::mean(span, options);
+    case OpKind::Min: return reference::minimum(span, options);
+    case OpKind::Max: return reference::maximum(span, options);
+    case OpKind::Stddev: return reference::stddev(span, options);
+    case OpKind::Variation: return reference::variation(span, options);
+    case OpKind::Diff:
+      return reference::difference(*operands[0], *operands[1], options);
+    case OpKind::Merge:
+      return reference::merge(*operands[0], *operands[1], options);
   }
   throw std::logic_error("unreachable");
 }
@@ -139,18 +161,27 @@ const char* op_label(OpKind op) {
     case OpKind::Min: return "min";
     case OpKind::Max: return "max";
     case OpKind::Stddev: return "stddev";
+    case OpKind::Variation: return "variation";
     case OpKind::Diff: return "diff";
     case OpKind::Merge: return "merge";
   }
   return "?";
 }
 
-enum class MetaKind { Identical, Overlapping, Disjoint };
+/// Coalescing: sibling call sites of one callee (tests/testutil.hpp),
+/// alternating with the line-shifted variant, so every operand's cnode map
+/// folds up to three source rows onto one result row.
+enum class MetaKind { Identical, Overlapping, Disjoint, Coalescing };
 
 std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
                                       double fill, StorageKind storage) {
   std::vector<Experiment> operands;
   for (std::size_t i = 0; i < count; ++i) {
+    if (meta == MetaKind::Coalescing) {
+      operands.push_back(testing::make_coalescing(
+          i + 1, fill, storage, static_cast<long>(i % 2) * 100));
+      continue;
+    }
     Shape s;
     s.fill = fill;
     s.storage = storage;
@@ -169,6 +200,8 @@ std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
         s.prefix = "p" + std::to_string(i) + "_";
         s.cnodes = 20 + 3 * (i % 6);
         break;
+      case MetaKind::Coalescing:
+        break;
     }
     operands.push_back(make_random(s));
   }
@@ -177,8 +210,9 @@ std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
 
 class BatchEquivalence : public ::testing::TestWithParam<MetaKind> {};
 
-// The core equivalence matrix: reference vs per-operand vs batch-scalar
-// vs batch-auto, at batch widths up to 16 and 1/4/8 executor threads.
+// The core equivalence matrix: reference vs batch-scalar vs batch-auto for
+// every operator, at batch widths up to 16 (the binary operators at 2) and
+// 1/4/8 executor threads.
 TEST_P(BatchEquivalence, AllPathsBitIdentical) {
   const MetaKind meta = GetParam();
   ThreadPool pool4(4);
@@ -190,9 +224,13 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
     };
   };
 
-  for (const OpKind op : {OpKind::Mean, OpKind::Min, OpKind::Max}) {
+  for (const OpKind op :
+       {OpKind::Mean, OpKind::Min, OpKind::Max, OpKind::Stddev,
+        OpKind::Variation, OpKind::Diff, OpKind::Merge}) {
+    const bool binary = op == OpKind::Diff || op == OpKind::Merge;
     for (const std::size_t width :
          {std::size_t{2}, std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
+      if (binary && width != 2) continue;
       for (const double fill : {1.0, 0.1, 0.01}) {
         // Wide batches only need the boundary fills; the middle fill adds
         // nothing new once the narrow widths covered it.
@@ -208,8 +246,7 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
                {StorageKind::Dense, StorageKind::Sparse}) {
             OperatorOptions reference;
             reference.storage = result_storage;
-            reference.use_bulk_kernels = false;
-            const Experiment want = apply(op, ptrs, reference);
+            const Experiment want = apply_reference(op, ptrs, reference);
 
             const std::string base =
                 std::string(op_label(op)) + " n=" + std::to_string(width) +
@@ -222,21 +259,17 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
                  {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
               const std::string label =
                   base + " threads=" + std::to_string(threads);
-              const auto run = [&](bool batch, simd::Policy policy) {
+              const auto run = [&](simd::Policy policy) {
                 OperatorOptions o;
                 o.storage = result_storage;
-                o.use_batch_kernels = batch;
                 o.simd_policy = policy;
                 if (threads == 4) o.parallel_for = pool_for(pool4);
                 if (threads == 8) o.parallel_for = pool_for(pool8);
                 return apply(op, ptrs, o);
               };
-              expect_bit_identical(run(false, simd::Policy::Auto), want,
-                                   label + " per-operand");
-              expect_bit_identical(
-                  run(true, simd::Policy::ForceScalar), want,
-                  label + " batch-scalar");
-              expect_bit_identical(run(true, simd::Policy::Auto), want,
+              expect_bit_identical(run(simd::Policy::ForceScalar), want,
+                                   label + " batch-scalar");
+              expect_bit_identical(run(simd::Policy::Auto), want,
                                    label + " batch-simd");
             }
           }
@@ -249,12 +282,14 @@ TEST_P(BatchEquivalence, AllPathsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllMetadataKinds, BatchEquivalence,
                          ::testing::Values(MetaKind::Identical,
                                            MetaKind::Overlapping,
-                                           MetaKind::Disjoint),
+                                           MetaKind::Disjoint,
+                                           MetaKind::Coalescing),
                          [](const auto& info) {
                            switch (info.param) {
                              case MetaKind::Identical: return "Identical";
                              case MetaKind::Overlapping: return "Overlapping";
                              case MetaKind::Disjoint: return "Disjoint";
+                             case MetaKind::Coalescing: return "Coalescing";
                            }
                            return "Unknown";
                          });
@@ -263,14 +298,13 @@ INSTANTIATE_TEST_SUITE_P(AllMetadataKinds, BatchEquivalence,
 TEST(BatchKernels, BinaryOperatorsMatchReference) {
   for (const OpKind op : {OpKind::Diff, OpKind::Merge}) {
     for (const MetaKind meta :
-         {MetaKind::Identical, MetaKind::Overlapping, MetaKind::Disjoint}) {
+         {MetaKind::Identical, MetaKind::Overlapping, MetaKind::Disjoint,
+          MetaKind::Coalescing}) {
       const auto operands =
           make_operands(meta, 2, 0.3, StorageKind::Dense);
       std::vector<const Experiment*> ptrs = {&operands[0], &operands[1]};
 
-      OperatorOptions reference;
-      reference.use_bulk_kernels = false;
-      const Experiment want = apply(op, ptrs, reference);
+      const Experiment want = apply_reference(op, ptrs, {});
 
       OperatorOptions batch;
       batch.simd_policy = simd::Policy::ForceScalar;
@@ -312,52 +346,73 @@ TEST(BatchKernels, SingleSweepCountersForWideSeries) {
             batch::kMaxCellChunks);
 }
 
-// Disabling the batch path must leave the batch counters silent and fall
-// back to the per-operand kernels.
-TEST(BatchKernels, PerOperandFallbackLeavesBatchCountersSilent) {
-  const auto operands =
-      make_operands(MetaKind::Identical, 4, 0.5, StorageKind::Dense);
-  std::vector<const Experiment*> ptrs;
-  for (const auto& e : operands) ptrs.push_back(&e);
+// Sibling call sites merged by integration make every operand's cnode map
+// coalesce up to three source rows onto one result row.  The tile engine
+// runs such applications like any other — one sweep whose batch width
+// counts operands — and visits each source row once per tile whether the
+// coalesced rows are split into extra tile rows (sums) or accumulated in
+// the operand's row (folds), so the remap counter is the same for both.
+TEST(BatchKernels, CoalescingMappingsRunOnTheTileEngine) {
+  for (const StorageKind storage : {StorageKind::Dense, StorageKind::Sparse}) {
+    const auto operands =
+        make_operands(MetaKind::Coalescing, 3, 0.3, storage);
+    std::vector<const Experiment*> ptrs;
+    for (const auto& e : operands) ptrs.push_back(&e);
+    const IntegrationResult integration = integrate_metadata(ptrs);
+    ASSERT_EQ(integration.metadata->num_cnodes(), 7u);
+    for (const OperandMapping& mp : integration.mappings) {
+      EXPECT_FALSE(mp.cnode_identity);
+    }
 
-  OperatorOptions options;
-  options.use_batch_kernels = false;
-  obs::MetricsRegistry stats;
-  options.metrics = &stats;
-  (void)mean(ptrs, options);
-
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchWidth), 0u);
-  EXPECT_GT(kernel_count(stats, kernel_counters::kIdentityDenseCells), 0u);
+    std::uint64_t remap_cells[2] = {0, 0};
+    for (const OpKind op : {OpKind::Mean, OpKind::Max}) {
+      OperatorOptions options;
+      obs::MetricsRegistry stats;
+      options.metrics = &stats;
+      const Experiment got = apply(op, ptrs, options);
+      const std::string label = std::string(op_label(op)) +
+                                (storage == StorageKind::Dense ? " dense"
+                                                               : " sparse");
+      expect_bit_identical(got, apply_reference(op, ptrs, {}), label);
+      EXPECT_EQ(kernel_count(stats, kernel_counters::kApplications), 1u);
+      EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchWidth), 3u);
+      EXPECT_GT(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
+      remap_cells[op == OpKind::Max] =
+          kernel_count(stats, kernel_counters::kRemapDenseCells) +
+          kernel_count(stats, kernel_counters::kRemapSparseNnz);
+    }
+    EXPECT_GT(remap_cells[0], 0u);
+    EXPECT_EQ(remap_cells[0], remap_cells[1]);
+  }
 }
 
-// The dispatch heuristic (EXPERIMENTS.md A14): a wide all-sparse
-// identity-mapped series runs the per-operand chunk kernels — gathering
-// mostly-zero rows into SoA tiles costs more than it saves — and the
-// path counters record the decision.
-TEST(BatchKernels, WideSparseSeriesPrefersPerOperandPath) {
+// A wide all-sparse identity-mapped series runs on the tile engine too,
+// applying exactly the stored non-zeros, bit-identical to the reference.
+TEST(BatchKernels, WideSparseSeriesRunsOnTheTileEngine) {
   const auto operands =
       make_operands(MetaKind::Identical, 16, 0.2, StorageKind::Sparse);
   std::vector<const Experiment*> ptrs;
-  for (const auto& e : operands) ptrs.push_back(&e);
+  std::uint64_t nnz = 0;
+  for (const auto& e : operands) {
+    ptrs.push_back(&e);
+    nnz += e.severity().nonzero_count();
+  }
 
   OperatorOptions options;
   obs::MetricsRegistry stats;
   options.metrics = &stats;
   const Experiment got = mean(ptrs, options);
 
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 1u);
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 0u);
-  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
-
-  // The heuristic is a pure path choice: bit-identical to the reference.
-  OperatorOptions reference;
-  reference.use_bulk_kernels = false;
-  expect_bit_identical(got, mean(ptrs, reference), "a14 heuristic");
+  EXPECT_GT(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
+  EXPECT_EQ(kernel_count(stats, kernel_counters::kBatchWidth), 16u);
+  EXPECT_EQ(kernel_count(stats, kernel_counters::kIdentitySparseNnz), nnz);
+  expect_bit_identical(
+      got, reference::mean(std::span<const Experiment* const>(ptrs)),
+      "wide sparse series");
 }
 
-// Below the width threshold — or with any dense operand — the batched
-// path keeps winning and the dispatch says so.
+// Narrow or dense series, and the binary operators over identity-mapped
+// sparse or remapped dense operands, all sweep in SoA tiles.
 TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
   {
     const auto operands =
@@ -368,8 +423,7 @@ TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
     obs::MetricsRegistry stats;
     options.metrics = &stats;
     (void)mean(ptrs, options);
-    EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 1u);
-    EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 0u);
+    EXPECT_GT(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
   }
   {
     const auto operands =
@@ -380,13 +434,8 @@ TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
     obs::MetricsRegistry stats;
     options.metrics = &stats;
     (void)mean(ptrs, options);
-    EXPECT_EQ(kernel_count(stats, kernel_counters::kPathBatched), 1u);
-    EXPECT_EQ(kernel_count(stats, kernel_counters::kPathPerOperand), 0u);
+    EXPECT_GT(kernel_count(stats, kernel_counters::kBatchTiles), 0u);
   }
-  // Binary difference and merge are width-2 linear combinations: with
-  // injective mappings they take the batched path too, remapped or not,
-  // even over sparse identity-mapped operands (the per-operand preference
-  // needs width >= 16).
   for (const auto& [meta, storage] :
        {std::pair{MetaKind::Identical, StorageKind::Sparse},
         std::pair{MetaKind::Overlapping, StorageKind::Dense}}) {
@@ -395,15 +444,12 @@ TEST(BatchKernels, NarrowOrDenseSeriesStaysOnBatchedPath) {
     obs::MetricsRegistry diff_stats;
     options.metrics = &diff_stats;
     (void)difference(operands[0], operands[1], options);
-    EXPECT_EQ(kernel_count(diff_stats, kernel_counters::kPathBatched), 1u);
-    EXPECT_EQ(kernel_count(diff_stats, kernel_counters::kPathPerOperand), 0u);
+    EXPECT_GT(kernel_count(diff_stats, kernel_counters::kBatchTiles), 0u);
 
     obs::MetricsRegistry merge_stats;
     options.metrics = &merge_stats;
     (void)merge(operands[0], operands[1], options);
-    EXPECT_EQ(kernel_count(merge_stats, kernel_counters::kPathBatched), 1u);
-    EXPECT_EQ(kernel_count(merge_stats, kernel_counters::kPathPerOperand),
-              0u);
+    EXPECT_GT(kernel_count(merge_stats, kernel_counters::kBatchTiles), 0u);
   }
 }
 
@@ -451,47 +497,6 @@ TEST(BatchKernels, ReleasingOperandPagesNeverChangesResults) {
   expect_bit_identical(stddev(mapped_ptrs, streaming),
                        stddev(owned_ptrs, plain), "release pages stddev");
   std::filesystem::remove_all(dir);
-}
-
-// batchable() is the gate: per-dimension injective mappings qualify, a
-// coalescing (non-injective) mapping must fall back — the batch gather
-// assumes at most one contribution per result cell per operand.
-TEST(BatchKernels, NonInjectiveMappingIsNotBatchable) {
-  batch::OutShape os;
-  os.metrics = 4;
-  os.cnodes = 3;
-  os.threads = 2;
-  os.plane = os.cnodes * os.threads;
-  os.cells = os.metrics * os.plane;
-
-  OperandMapping identity;
-  identity.metric_identity = true;
-  identity.cnode_identity = true;
-  identity.thread_identity = true;
-
-  OperandMapping injective;
-  injective.metric_map = {2, 0, 3};  // into 4 metrics, no repeats
-  injective.cnode_identity = true;
-  injective.thread_identity = true;
-
-  OperandMapping coalescing = injective;
-  coalescing.metric_map = {2, 0, 2};  // two source metrics -> metric 2
-
-  OperandMapping masked = injective;
-  masked.metric_map = {kNoIndex, 0, kNoIndex};  // masking stays injective
-
-  {
-    const OperandMapping mappings[] = {identity, injective};
-    EXPECT_TRUE(batchable(mappings, os));
-  }
-  {
-    const OperandMapping mappings[] = {identity, masked};
-    EXPECT_TRUE(batchable(mappings, os));
-  }
-  {
-    const OperandMapping mappings[] = {identity, coalescing};
-    EXPECT_FALSE(batchable(mappings, os));
-  }
 }
 
 // The SIMD primitives themselves: whatever backend the dispatcher picks

@@ -1,9 +1,9 @@
-// Randomized equivalence suite for the bulk severity kernels: every
-// operator, over dense/sparse operand combinations at fill rates
-// {100 %, 10 %, 1 %} and thread counts {1, 4}, must produce results
-// BIT-IDENTICAL to the per-cell reference path
-// (OperatorOptions::use_bulk_kernels = false).  See docs/STORAGE.md for
-// the ordering contract that makes this hold.
+// Randomized equivalence suite for the severity sweep: every operator,
+// over dense/sparse operand combinations at fill rates {100 %, 10 %, 1 %},
+// thread counts {1, 4, 8} and both SIMD policies, must produce results
+// BIT-IDENTICAL to the per-cell reference operators
+// (tests/support/reference_ops.hpp).  See docs/STORAGE.md for the ordering
+// contract that makes this hold.
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -14,10 +14,13 @@
 #include <gtest/gtest.h>
 
 #include "algebra/operators.hpp"
+#include "algebra/statistics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "model/system_factory.hpp"
 #include "obs/metrics.hpp"
+#include "support/reference_ops.hpp"
+#include "testutil.hpp"
 
 namespace cube {
 namespace {
@@ -118,7 +121,7 @@ void expect_bit_identical(const Experiment& got, const Experiment& want,
       << label;
 }
 
-enum class OpKind { Diff, Merge, Mean, Min, Max };
+enum class OpKind { Diff, Merge, Mean, Min, Max, Stddev, Variation };
 
 Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
                  const OperatorOptions& options) {
@@ -129,6 +132,27 @@ Experiment apply(OpKind op, const std::vector<const Experiment*>& operands,
     case OpKind::Mean: return mean(span, options);
     case OpKind::Min: return minimum(span, options);
     case OpKind::Max: return maximum(span, options);
+    case OpKind::Stddev: return stddev(span, options);
+    case OpKind::Variation: return variation(span, options);
+  }
+  throw std::logic_error("unreachable");
+}
+
+/// The same operator through the per-cell oracle.
+Experiment apply_reference(OpKind op,
+                           const std::vector<const Experiment*>& operands,
+                           const OperatorOptions& options) {
+  const std::span<const Experiment* const> span(operands);
+  switch (op) {
+    case OpKind::Diff:
+      return reference::difference(*operands[0], *operands[1], options);
+    case OpKind::Merge:
+      return reference::merge(*operands[0], *operands[1], options);
+    case OpKind::Mean: return reference::mean(span, options);
+    case OpKind::Min: return reference::minimum(span, options);
+    case OpKind::Max: return reference::maximum(span, options);
+    case OpKind::Stddev: return reference::stddev(span, options);
+    case OpKind::Variation: return reference::variation(span, options);
   }
   throw std::logic_error("unreachable");
 }
@@ -140,17 +164,27 @@ const char* op_name(OpKind op) {
     case OpKind::Mean: return "mean";
     case OpKind::Min: return "min";
     case OpKind::Max: return "max";
+    case OpKind::Stddev: return "stddev";
+    case OpKind::Variation: return "variation";
   }
   return "?";
 }
 
-/// Operand metadata relationships exercised by the suite.
-enum class MetaKind { Identical, Overlapping, Disjoint };
+/// Operand metadata relationships exercised by the suite.  Coalescing:
+/// sibling call sites of one callee (tests/testutil.hpp), alternating
+/// with the line-shifted variant — cnode maps fold several source rows
+/// onto one result row.
+enum class MetaKind { Identical, Overlapping, Disjoint, Coalescing };
 
 std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
                                       double fill, StorageKind storage) {
   std::vector<Experiment> operands;
   for (std::size_t i = 0; i < count; ++i) {
+    if (meta == MetaKind::Coalescing) {
+      operands.push_back(testing::make_coalescing(
+          i + 1, fill, storage, static_cast<long>(i % 2) * 100));
+      continue;
+    }
     Shape s;
     s.fill = fill;
     s.storage = storage;
@@ -168,6 +202,8 @@ std::vector<Experiment> make_operands(MetaKind meta, std::size_t count,
         s.prefix = "p" + std::to_string(i) + "_";
         s.cnodes = 20 + 3 * i;
         break;
+      case MetaKind::Coalescing:
+        break;
     }
     operands.push_back(make_random(s));
   }
@@ -178,14 +214,18 @@ class BulkEquivalence : public ::testing::TestWithParam<MetaKind> {};
 
 TEST_P(BulkEquivalence, MatchesPerCellReferenceBitForBit) {
   const MetaKind meta = GetParam();
-  ThreadPool pool(4);
-  const ParallelFor pool_for =
-      [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
-        pool.parallel_for(n, body);
-      };
+  ThreadPool pool4(4);
+  ThreadPool pool8(8);
+  const auto pool_for = [](ThreadPool& pool) -> ParallelFor {
+    return [&pool](std::size_t n,
+                   const std::function<void(std::size_t)>& body) {
+      pool.parallel_for(n, body);
+    };
+  };
 
   for (const OpKind op :
-       {OpKind::Diff, OpKind::Merge, OpKind::Mean, OpKind::Min, OpKind::Max}) {
+       {OpKind::Diff, OpKind::Merge, OpKind::Mean, OpKind::Min, OpKind::Max,
+        OpKind::Stddev, OpKind::Variation}) {
     const std::size_t count =
         (op == OpKind::Diff || op == OpKind::Merge) ? 2 : 3;
     for (const double fill : {1.0, 0.1, 0.01}) {
@@ -200,44 +240,53 @@ TEST_P(BulkEquivalence, MatchesPerCellReferenceBitForBit) {
              {StorageKind::Dense, StorageKind::Sparse}) {
           OperatorOptions reference;
           reference.storage = result_storage;
-          reference.use_bulk_kernels = false;
-          const Experiment want = apply(op, ptrs, reference);
+          const Experiment want = apply_reference(op, ptrs, reference);
 
-          for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            OperatorOptions bulk;
-            bulk.storage = result_storage;
-            obs::MetricsRegistry stats;
-            bulk.metrics = &stats;
-            if (threads > 1) bulk.parallel_for = pool_for;
-            const Experiment got = apply(op, ptrs, bulk);
-            const std::string label =
-                std::string(op_name(op)) + " fill=" + std::to_string(fill) +
-                " opstore=" +
-                (operand_storage == StorageKind::Dense ? "dense" : "sparse") +
-                " outstore=" +
-                (result_storage == StorageKind::Dense ? "dense" : "sparse") +
-                " threads=" + std::to_string(threads);
-            expect_bit_identical(got, want, label);
-            EXPECT_EQ(kernel_count(stats, kernel_counters::kApplications), 1u)
-                << label;
-            EXPECT_GT(kernel_count(stats, kernel_counters::kChunks), 0u)
-                << label;
-            // The right kernel family must have fired for the operands.
-            // Sparse operands at full occupancy are densified (see the
-            // prepare_operands threshold) and legitimately run the dense
-            // kernels.
-            const bool dense_ops = operand_storage == StorageKind::Dense;
-            const std::uint64_t dense_work =
-                kernel_count(stats, kernel_counters::kIdentityDenseCells) +
-                kernel_count(stats, kernel_counters::kRemapDenseCells);
-            const std::uint64_t sparse_work =
-                kernel_count(stats, kernel_counters::kIdentitySparseNnz) +
-                kernel_count(stats, kernel_counters::kRemapSparseNnz);
-            EXPECT_GT(dense_work + sparse_work, 0u) << label;
-            if (dense_ops) {
-              EXPECT_EQ(sparse_work, 0u) << label;
-            } else if (fill <= 0.1) {
-              EXPECT_EQ(dense_work, 0u) << label;
+          for (const std::size_t threads :
+               {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+            for (const simd::Policy policy :
+                 {simd::Policy::ForceScalar, simd::Policy::Auto}) {
+              OperatorOptions bulk;
+              bulk.storage = result_storage;
+              bulk.simd_policy = policy;
+              obs::MetricsRegistry stats;
+              bulk.metrics = &stats;
+              if (threads == 4) bulk.parallel_for = pool_for(pool4);
+              if (threads == 8) bulk.parallel_for = pool_for(pool8);
+              const Experiment got = apply(op, ptrs, bulk);
+              const std::string label =
+                  std::string(op_name(op)) + " fill=" + std::to_string(fill) +
+                  " opstore=" +
+                  (operand_storage == StorageKind::Dense ? "dense"
+                                                         : "sparse") +
+                  " outstore=" +
+                  (result_storage == StorageKind::Dense ? "dense"
+                                                        : "sparse") +
+                  " threads=" + std::to_string(threads) +
+                  (policy == simd::Policy::Auto ? " simd" : " scalar");
+              expect_bit_identical(got, want, label);
+              EXPECT_EQ(kernel_count(stats, kernel_counters::kApplications),
+                        1u)
+                  << label;
+              EXPECT_GT(kernel_count(stats, kernel_counters::kChunks), 0u)
+                  << label;
+              // The right kernel family must have fired for the operands.
+              // Sparse operands at full occupancy are densified (the
+              // batch::classify_operand threshold) and legitimately run
+              // the dense kernels.
+              const bool dense_ops = operand_storage == StorageKind::Dense;
+              const std::uint64_t dense_work =
+                  kernel_count(stats, kernel_counters::kIdentityDenseCells) +
+                  kernel_count(stats, kernel_counters::kRemapDenseCells);
+              const std::uint64_t sparse_work =
+                  kernel_count(stats, kernel_counters::kIdentitySparseNnz) +
+                  kernel_count(stats, kernel_counters::kRemapSparseNnz);
+              EXPECT_GT(dense_work + sparse_work, 0u) << label;
+              if (dense_ops) {
+                EXPECT_EQ(sparse_work, 0u) << label;
+              } else if (fill <= 0.1) {
+                EXPECT_EQ(dense_work, 0u) << label;
+              }
             }
           }
         }
@@ -249,12 +298,14 @@ TEST_P(BulkEquivalence, MatchesPerCellReferenceBitForBit) {
 INSTANTIATE_TEST_SUITE_P(AllMetadataKinds, BulkEquivalence,
                          ::testing::Values(MetaKind::Identical,
                                            MetaKind::Overlapping,
-                                           MetaKind::Disjoint),
+                                           MetaKind::Disjoint,
+                                           MetaKind::Coalescing),
                          [](const auto& info) {
                            switch (info.param) {
                              case MetaKind::Identical: return "Identical";
                              case MetaKind::Overlapping: return "Overlapping";
                              case MetaKind::Disjoint: return "Disjoint";
+                             case MetaKind::Coalescing: return "Coalescing";
                            }
                            return "Unknown";
                          });
@@ -336,9 +387,7 @@ TEST(BulkKernels, SingleMetricExperimentStillChunks) {
   const Experiment bulk = difference(a, b, options);
   EXPECT_GT(kernel_count(stats, kernel_counters::kChunks), 1u);
 
-  OperatorOptions reference;
-  reference.use_bulk_kernels = false;
-  expect_bit_identical(bulk, difference(a, b, reference), "1-metric chunked");
+  expect_bit_identical(bulk, reference::difference(a, b), "1-metric chunked");
 }
 
 TEST(BulkKernels, SparseResultParallelMatchesSequential) {

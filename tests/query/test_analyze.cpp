@@ -342,6 +342,96 @@ TEST_F(PlanAnalyzeTest, DensifiedSparseOperandsSweepLikeDense) {
       << "full sparse operands must densify into the dense identity kernel";
 }
 
+TEST_F(PlanAnalyzeTest, MergeOfOverlappingDenseMetricsIsExact) {
+  // small and variant share `time` and `mpi`: merge takes them from small
+  // and only `flops` from variant.  The analyzer walks the same owner
+  // masks the executor uses, so the prediction is exact.
+  repo_->store(make_small(StorageKind::Dense, "small"));
+  repo_->store(make_variant(StorageKind::Dense, "variant"));
+
+  const QueryPlan plan = make_plan("merge(small, variant)");
+  DiagnosticSink sink;
+  AnalyzeOptions options;
+  options.use_cache = false;
+  const PlanAnalysis analysis = analyze(plan, sink, options);
+  EXPECT_TRUE(analysis.compatible);
+  EXPECT_TRUE(analysis.exact)
+      << "owner-masked dense operands are predictable exactly";
+
+  // Same 120-cell grid as mean(small, variant): small keeps all 12 of its
+  // rows (108), variant only its 4 `flops` rows (54 of the mean's 162).
+  EXPECT_EQ(analysis.cold.cells_traversed, 108u + 54u);
+
+  QueryOptions run_options;
+  run_options.threads = 1;
+  run_options.use_cache = false;
+  run_options.store_derived = false;
+  QueryEngine engine(*repo_, run_options);
+  const QueryResult result = engine.run("merge(small, variant)");
+  EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
+  EXPECT_EQ(result.stats.kernel_remap_dense_cells,
+            analysis.cold.cells_traversed);
+  EXPECT_EQ(analysis.cold.bytes_loaded, result.stats.bytes_loaded);
+}
+
+TEST_F(PlanAnalyzeTest, MergeMaskingSparseMetricsIsAnEstimate) {
+  // The mask drops variant's `time` and `mpi` non-zeros, but a CUBESEV1
+  // header records no per-metric counts: the kept-sparse operand's nnz
+  // is an upper bound on what the sweep visits.
+  repo_->store(make_sparse_small("s"), RepoFormat::Columnar);
+  repo_->store(make_sparse_variant("v"), RepoFormat::Columnar);
+
+  const QueryPlan plan = make_plan("merge(s, v)");
+  DiagnosticSink sink;
+  AnalyzeOptions options;
+  options.use_cache = false;
+  const PlanAnalysis analysis = analyze(plan, sink, options);
+  EXPECT_TRUE(analysis.compatible);
+  EXPECT_FALSE(analysis.exact);
+  EXPECT_EQ(analysis.cold.cells_traversed, 12u);
+
+  QueryOptions run_options;
+  run_options.threads = 1;
+  run_options.use_cache = false;
+  run_options.store_derived = false;
+  QueryEngine engine(*repo_, run_options);
+  const QueryResult result = engine.run("merge(s, v)");
+  EXPECT_LT(measured_cells(result.stats), analysis.cold.cells_traversed);
+}
+
+TEST_F(PlanAnalyzeTest, CoalescingCnodeMapsPredictExactly) {
+  // Sibling call sites of one callee merge into one cnode, so each
+  // operand's 13 x 5 source rows coalesce onto 7 x 5 result rows.  The
+  // sweep still visits every source row once per tile it straddles.
+  repo_->store(cube::testing::make_coalescing(1, 1.0), RepoFormat::Columnar);
+  repo_->store(cube::testing::make_coalescing(2, 1.0, StorageKind::Dense,
+                                              100),
+               RepoFormat::Columnar);
+  const std::string text = "mean(coalescing1, coalescing2)";
+  const QueryPlan plan = make_plan(text);
+  DiagnosticSink sink;
+  AnalyzeOptions options;
+  options.use_cache = false;
+  const PlanAnalysis analysis = analyze(plan, sink, options);
+  EXPECT_TRUE(analysis.exact);
+  const NodeCost& root = analysis.nodes[plan.root];
+  EXPECT_EQ(root.cnodes, 7u);
+  EXPECT_EQ(root.cells, 280u);
+  // 65 source rows of 8 threads per operand over the 32-chunk grid of
+  // 280 cells, each row counted once per chunk it straddles.
+  EXPECT_EQ(analysis.cold.cells_traversed, 2u * 936u);
+
+  QueryOptions run_options;
+  run_options.threads = 1;
+  run_options.use_cache = false;
+  run_options.store_derived = false;
+  QueryEngine engine(*repo_, run_options);
+  const QueryResult result = engine.run(text);
+  EXPECT_EQ(measured_cells(result.stats), analysis.cold.cells_traversed);
+  EXPECT_EQ(result.stats.kernel_remap_dense_cells,
+            analysis.cold.cells_traversed);
+}
+
 TEST_F(PlanAnalyzeTest, WarmPassPredictsCacheHitsWithoutExecuting) {
   store_salted("a1", 0.125, {{"run", "before"}});
   store_salted("a2", 0.25, {{"run", "before"}});

@@ -1,10 +1,13 @@
 // Shared builders for unit tests: small, fully-known experiments.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
+#include "common/rng.hpp"
 #include "model/experiment.hpp"
+#include "model/system_factory.hpp"
 
 namespace cube::testing {
 
@@ -126,6 +129,74 @@ inline Experiment make_unit_clash(const std::string& name = "clash") {
   Experiment e(std::move(md), StorageKind::Dense);
   e.set_name(name);
   e.severity().set(0, 0, 0, 1.0);
+  return e;
+}
+
+/// Metadata whose call tree holds sibling call sites of one callee at
+/// different lines: main calls `leaf` from three lines and `work` from
+/// two, and the three `leaf` subtrees overlap again (`inner`, `work`).
+/// Integration matches cnodes by callee, not line, so it merges such
+/// siblings — and their subtrees — into one cnode: the operand's cnode
+/// map COALESCES up to three source rows onto one result row (13 source
+/// cnodes onto 7).  Five metrics (a chain of four plus one root) and
+/// eight single-threaded processes.  `line_shift` moves every call-site
+/// line, giving a digest-distinct variant that integrates onto the same
+/// cnodes.
+inline std::unique_ptr<Metadata> coalescing_metadata(long line_shift = 0) {
+  auto md = std::make_unique<Metadata>();
+  const Metric* parent = nullptr;
+  for (int i = 0; i < 5; ++i) {
+    if (i % 4 == 0) parent = nullptr;
+    parent = &md->add_metric(parent, "m" + std::to_string(i),
+                             "m" + std::to_string(i), Unit::Seconds, "");
+  }
+
+  const Region& r_main = md->add_region("main", "app.c", 1, 100);
+  const Region& r_leaf = md->add_region("leaf", "app.c", 110, 120);
+  const Region& r_inner = md->add_region("inner", "app.c", 130, 140);
+  const Region& r_work = md->add_region("work", "app.c", 150, 160);
+  const Region& r_io = md->add_region("io", "app.c", 170, 180);
+  const auto call = [&](const Cnode* caller, const Region& callee,
+                        long line) -> const Cnode& {
+    return md->add_cnode_for_region(caller, callee, "app.c",
+                                    line + line_shift);
+  };
+  const Cnode& main = call(nullptr, r_main, 1);
+  const Cnode& leaf5 = call(&main, r_leaf, 5);
+  call(&leaf5, r_inner, 20);
+  call(&leaf5, r_work, 30);
+  call(&main, r_work, 40);
+  const Cnode& leaf9 = call(&main, r_leaf, 9);
+  call(&leaf9, r_inner, 22);
+  call(&main, r_io, 50);
+  const Cnode& leaf13 = call(&main, r_leaf, 13);
+  call(&leaf13, r_work, 31);
+  const Cnode& inner25 = call(&leaf13, r_inner, 25);
+  call(&inner25, r_work, 26);
+  call(&main, r_work, 44);
+
+  build_regular_system(*md, "test machine", 1, 8);
+  return md;
+}
+
+/// An experiment over coalescing_metadata(line_shift) with a seeded
+/// severity of the requested fill rate, negative values included.
+inline Experiment make_coalescing(std::uint64_t seed, double fill,
+                                  StorageKind kind = StorageKind::Dense,
+                                  long line_shift = 0) {
+  Experiment e(coalescing_metadata(line_shift), kind);
+  e.set_name("coalescing" + std::to_string(seed));
+  SplitMix64 rng(seed);
+  const Metadata& m = e.metadata();
+  for (MetricIndex mi = 0; mi < m.num_metrics(); ++mi) {
+    for (CnodeIndex ci = 0; ci < m.num_cnodes(); ++ci) {
+      for (ThreadIndex ti = 0; ti < m.num_threads(); ++ti) {
+        if (rng.uniform() < fill) {
+          e.severity().set(mi, ci, ti, rng.uniform(-5.0, 10.0));
+        }
+      }
+    }
+  }
   return e;
 }
 
