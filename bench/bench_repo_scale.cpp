@@ -179,7 +179,7 @@ bool run_stream_gate(const std::filesystem::path& base, bool quick) {
   std::vector<const Experiment*> ptrs;
   for (const Experiment& e : mapped) ptrs.push_back(&e);
   for (const Experiment* e : ptrs) {
-    if (!e->severity().file_backed()) {
+    if (!e->severity().borrowed()) {
       std::printf("FAIL stream: columnar load is not file-backed\n");
       return false;
     }

@@ -15,7 +15,9 @@ std::size_t num_cell_chunks(std::size_t cells) {
 
 Access classify_operand(StorageKind kind, std::uint64_t nnz,
                         std::uint64_t cells, bool identity) {
-  if (kind == StorageKind::Sparse && 2 * nnz < cells) return Access::Sparse;
+  if (kind == StorageKind::Sparse && !densify(nnz, cells)) {
+    return Access::Sparse;
+  }
   return identity ? Access::Borrow : Access::Rows;
 }
 
@@ -140,14 +142,13 @@ void merge_staged(Experiment& out, const OutShape& os,
 /// the consumed result cell range [lo, hi) — the streaming hook behind
 /// OperatorOptions::release_operand_pages.  Identity mappings make source
 /// and result cell indices coincide, so the range translates directly;
-/// remapped or owned operands are skipped.
+/// remapped operands are skipped, and release_cells() is a no-op on
+/// stores that do not borrow a mapped file.
 void release_consumed(std::span<const Experiment* const> sources,
                       std::span<const OperandMapping> mappings,
                       std::size_t lo, std::size_t hi) {
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (!mappings[i].identity()) continue;
-    const SeverityStore& sev = sources[i]->severity();
-    if (sev.file_backed()) sev.release_cells(lo, hi);
+    if (mappings[i].identity()) sources[i]->severity().release_cells(lo, hi);
   }
 }
 

@@ -10,23 +10,27 @@
 #include <cstddef>
 #include <filesystem>
 
+#include "common/byte_owner.hpp"
+
 namespace cube {
 
 /// One read-only mapping of a whole regular file.  Non-copyable; the
 /// mapping lives until destruction.  Empty files map to a null view of
 /// size zero.  All errors throw cube::Error.
-class MappedFile {
+class MappedFile final : public ByteOwner {
  public:
   explicit MappedFile(const std::filesystem::path& path);
-  ~MappedFile();
+  ~MappedFile() override;
 
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
   MappedFile(MappedFile&& other) noexcept;
   MappedFile& operator=(MappedFile&& other) noexcept;
 
-  [[nodiscard]] const std::byte* data() const noexcept { return data_; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] const std::byte* data() const noexcept override {
+    return data_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
     return path_;
   }
@@ -40,7 +44,8 @@ class MappedFile {
   /// from the file if touched later (the mapping stays valid).  The range
   /// is shrunk inward to page boundaries; a sub-page range is a no-op.
   /// Best effort; never throws.
-  void release_range(std::size_t offset, std::size_t length) const noexcept;
+  void release_range(std::size_t offset,
+                     std::size_t length) const noexcept override;
 
  private:
   const std::byte* data_ = nullptr;

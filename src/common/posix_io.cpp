@@ -42,4 +42,31 @@ void write_full(int fd, const void* buf, std::size_t n) {
   }
 }
 
+void writev_full(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    if (iov->iov_len == 0) {
+      ++iov;
+      --count;
+      continue;
+    }
+    const ssize_t put = ::writev(fd, iov, count);
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      throw IoError(std::string("write failed: ") + std::strerror(errno));
+    }
+    // Skip the buffers that went out whole, then advance into the one the
+    // partial write stopped in (0 bytes is retried like in write_full).
+    auto left = static_cast<std::size_t>(put);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+}
+
 }  // namespace cube

@@ -15,6 +15,8 @@
 // socketpairs.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstddef>
 
 namespace cube {
@@ -32,5 +34,12 @@ std::size_t read_full(int fd, void* buf, std::size_t n);
 /// ignored or suppressed (the server uses MSG_NOSIGNAL-equivalent
 /// setups / signal(SIGPIPE, SIG_IGN)).
 void write_full(int fd, const void* buf, std::size_t n);
+
+/// Gather form of write_full: writes every byte of the `count` buffers in
+/// order, as one writev(2) where the kernel takes it all, retrying on
+/// EINTR and resuming mid-buffer after partial writes.  `iov` is used as
+/// scratch (entries are advanced as bytes go out).  Throws IoError on a
+/// real error.
+void writev_full(int fd, iovec* iov, int count);
 
 }  // namespace cube

@@ -1,5 +1,6 @@
 #include "io/binary_codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <ostream>
 #include <vector>
@@ -37,7 +38,7 @@ void BinaryEncoder::str(const std::string& s) {
 }
 
 void BinaryDecoder::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {
     throw CheckError("file.truncated",
                      "byte offset " + std::to_string(pos_),
                      "stream ends " + std::to_string(n) +
@@ -77,17 +78,33 @@ double BinaryDecoder::f64() {
   return v;
 }
 
-std::string BinaryDecoder::str() {
-  const std::uint32_t len = u32();
-  need(len);
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
+std::string BinaryDecoder::str() { return std::string(str_view()); }
+
+std::string_view BinaryDecoder::str_view() { return bytes(u32()); }
+
+std::string_view BinaryDecoder::bytes(std::size_t n) {
+  need(n);
+  const std::string_view s = data_.substr(pos_, n);
+  pos_ += n;
   return s;
 }
 
 namespace {
 
 constexpr std::uint32_t kNoParentId = 0xFFFFFFFFu;
+
+/// The entity a stored index refers to; an index past the entities
+/// decoded so far is a malformed stream, reported like a truncation.
+template <typename Entities>
+auto& entity_at(const Entities& entities, std::uint32_t index,
+                const char* what) {
+  if (index >= entities.size()) {
+    throw CheckError("model.invalid",
+                     std::string(what) + " #" + std::to_string(index),
+                     std::string("reference to an undefined ") + what);
+  }
+  return *entities[index];
+}
 
 }  // namespace
 
@@ -164,7 +181,8 @@ std::unique_ptr<Metadata> decode_metadata(BinaryDecoder& d) {
     const auto unit = static_cast<Unit>(d.u32());
     std::string descr = d.str();
     const Metric* parent_ptr =
-        parent == kNoParentId ? nullptr : md->metrics().at(parent).get();
+        parent == kNoParentId ? nullptr
+                              : &entity_at(md->metrics(), parent, "metric");
     md->add_metric(parent_ptr, std::move(uniq), std::move(disp), unit,
                    std::move(descr));
   }
@@ -185,7 +203,8 @@ std::unique_ptr<Metadata> decode_metadata(BinaryDecoder& d) {
     const std::uint32_t callee = d.u32();
     std::string file = d.str();
     const long line = static_cast<long>(d.i64());
-    md->add_callsite(*md->regions().at(callee), std::move(file), line);
+    md->add_callsite(entity_at(md->regions(), callee, "region"),
+                     std::move(file), line);
   }
 
   const std::uint32_t num_cnodes = d.u32();
@@ -193,8 +212,9 @@ std::unique_ptr<Metadata> decode_metadata(BinaryDecoder& d) {
     const std::uint32_t parent = d.u32();
     const std::uint32_t csite = d.u32();
     const Cnode* parent_ptr =
-        parent == kNoParentId ? nullptr : md->cnodes().at(parent).get();
-    md->add_cnode(parent_ptr, *md->callsites().at(csite));
+        parent == kNoParentId ? nullptr
+                              : &entity_at(md->cnodes(), parent, "cnode");
+    md->add_cnode(parent_ptr, entity_at(md->callsites(), csite, "call site"));
   }
 
   const std::uint32_t num_machines = d.u32();
@@ -204,18 +224,20 @@ std::unique_ptr<Metadata> decode_metadata(BinaryDecoder& d) {
   const std::uint32_t num_nodes = d.u32();
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     const std::uint32_t machine = d.u32();
-    md->add_node(*md->machines().at(machine), d.str());
+    md->add_node(entity_at(md->machines(), machine, "machine"), d.str());
   }
   const std::uint32_t num_processes = d.u32();
   for (std::uint32_t i = 0; i < num_processes; ++i) {
     const std::uint32_t node = d.u32();
     std::string name = d.str();
     const long rank = static_cast<long>(d.i64());
-    Process& p = md->add_process(*md->nodes().at(node), std::move(name), rank);
+    Process& p = md->add_process(entity_at(md->nodes(), node, "node"),
+                                 std::move(name), rank);
     const std::uint32_t num_coords = d.u32();
     if (num_coords > 0) {
       std::vector<long> coords;
-      coords.reserve(num_coords);
+      coords.reserve(
+          std::min<std::size_t>(num_coords, d.remaining() / sizeof(long)));
       for (std::uint32_t k = 0; k < num_coords; ++k) {
         coords.push_back(static_cast<long>(d.i64()));
       }
@@ -227,7 +249,8 @@ std::unique_ptr<Metadata> decode_metadata(BinaryDecoder& d) {
     const std::uint32_t process = d.u32();
     std::string name = d.str();
     const long tid = static_cast<long>(d.i64());
-    md->add_thread(*md->processes().at(process), std::move(name), tid);
+    md->add_thread(entity_at(md->processes(), process, "process"),
+                   std::move(name), tid);
   }
 
   md->validate();

@@ -38,7 +38,15 @@ class BinaryDecoder {
   std::int64_t i64();
   double f64();
   std::string str();
+  /// Like str(), but views the bytes in place (valid while the decoded
+  /// buffer is).
+  std::string_view str_view();
+  /// The next `n` bytes, viewed in place.
+  std::string_view bytes(std::size_t n);
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
+  /// Offset of the next field from the start of the decoded buffer.
+  [[nodiscard]] std::size_t position() const { return pos_; }
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   void need(std::size_t n) const;

@@ -1,5 +1,6 @@
 #include "io/severity_format.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -8,6 +9,7 @@
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "common/mmap_file.hpp"
 #include "obs/metrics.hpp"
 
 namespace cube {
@@ -29,31 +31,11 @@ constexpr std::size_t kHeaderBytes = 56;
   return std::string_view(static_cast<const char*>(data), n);
 }
 
-void put_u64(std::ostream& out, std::uint64_t v) {
+void put_u64(char* out, std::uint64_t v) {
   // Little-endian, like the CUBEBIN/CUBEMET codecs.
-  char buf[8];
   for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
-  out.write(buf, 8);
-}
-
-struct SparseColumns {
-  std::vector<std::uint64_t> keys;
-  std::vector<Severity> values;
-};
-
-[[nodiscard]] SparseColumns sparse_columns(const SparseSeverity& store) {
-  SparseColumns cols;
-  const auto cells = store.sorted_cells();
-  cols.keys.reserve(cells.size());
-  cols.values.reserve(cells.size());
-  for (const auto& [k, v] : cells) {
-    if (v == 0.0) continue;
-    cols.keys.push_back(k);
-    cols.values.push_back(v);
-  }
-  return cols;
 }
 
 struct Header {
@@ -166,49 +148,79 @@ bool is_cube_sev(std::string_view data) noexcept {
          data.substr(0, kMagic.size()) == kMagic;
 }
 
-void write_cube_sev(const SeverityStore& store, std::ostream& out) {
-  const std::uint64_t kind =
-      store.kind() == StorageKind::Dense ? kKindDense : kKindSparse;
-  out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-  put_u64(out, kind);
-  put_u64(out, store.num_metrics());
-  put_u64(out, store.num_cnodes());
-  put_u64(out, store.num_threads());
-  if (kind == kKindDense) {
-    const auto& dense = static_cast<const DenseSeverity&>(store);
-    const auto cells = dense.cells();
-    put_u64(out, cells.size());
-    Fnv1a digest;
-    digest.update(bytes_of(cells.data(), cells.size() * sizeof(Severity)));
-    put_u64(out, digest.value());
-    out.write(reinterpret_cast<const char*>(cells.data()),
-              static_cast<std::streamsize>(cells.size() * sizeof(Severity)));
+StorageKind compact_sev_kind(const SeverityStore& store) {
+  return densify(store.nonzero_count(), store.num_cells())
+             ? StorageKind::Dense
+             : StorageKind::Sparse;
+}
+
+std::string to_cube_sev(const SeverityStore& store, StorageKind kind) {
+  const std::uint64_t cells = store.num_cells();
+  // Sparse stores are read once, as their sorted non-zeros; dense stores
+  // are read in place.
+  const bool from_dense = store.kind() == StorageKind::Dense;
+  std::span<const Severity> dense;
+  std::vector<std::pair<std::uint64_t, Severity>> sparse;
+  if (from_dense) {
+    dense = static_cast<const DenseSeverity&>(store).cells();
   } else {
-    const auto& sparse = static_cast<const SparseSeverity&>(store);
-    const SparseColumns cols = sparse_columns(sparse);
-    put_u64(out, cols.keys.size());
-    Fnv1a digest;
-    digest.update(
-        bytes_of(cols.keys.data(), cols.keys.size() * sizeof(std::uint64_t)));
-    digest.update(
-        bytes_of(cols.values.data(), cols.values.size() * sizeof(Severity)));
-    put_u64(out, digest.value());
-    out.write(reinterpret_cast<const char*>(cols.keys.data()),
-              static_cast<std::streamsize>(cols.keys.size() *
-                                           sizeof(std::uint64_t)));
-    out.write(reinterpret_cast<const char*>(cols.values.data()),
-              static_cast<std::streamsize>(cols.values.size() *
-                                           sizeof(Severity)));
+    sparse = static_cast<const SparseSeverity&>(store).sorted_cells();
+    std::erase_if(sparse, [](const auto& kv) { return kv.second == 0.0; });
   }
-  if (!out) {
-    throw Error("severity blob write failed");
+  std::uint64_t entries = cells;
+  if (kind == StorageKind::Sparse) {
+    entries = from_dense ? static_cast<std::uint64_t>(std::count_if(
+                               dense.begin(), dense.end(),
+                               [](Severity v) { return v != 0.0; }))
+                         : sparse.size();
   }
+  const std::size_t record =
+      kind == StorageKind::Dense ? sizeof(Severity)
+                                 : sizeof(std::uint64_t) + sizeof(Severity);
+  // One buffer of the final size; every payload byte is written once
+  // below (the zero fill stands for the dense cells a sparse store does
+  // not hold).
+  std::string out(kHeaderBytes + entries * record, '\0');
+  char* payload = out.data() + kHeaderBytes;
+  if (kind == StorageKind::Dense) {
+    if (from_dense) {
+      std::memcpy(payload, dense.data(), dense.size() * sizeof(Severity));
+    } else {
+      for (const auto& [k, v] : sparse) {
+        std::memcpy(payload + k * sizeof(Severity), &v, sizeof(Severity));
+      }
+    }
+  } else {
+    char* keys = payload;
+    char* values = payload + entries * sizeof(std::uint64_t);
+    std::size_t i = 0;
+    const auto put = [&](std::uint64_t k, Severity v) {
+      std::memcpy(keys + i * sizeof(std::uint64_t), &k, sizeof(k));
+      std::memcpy(values + i * sizeof(Severity), &v, sizeof(v));
+      ++i;
+    };
+    if (from_dense) {
+      for (std::uint64_t k = 0; k < cells; ++k) {
+        if (dense[k] != 0.0) put(k, dense[k]);
+      }
+    } else {
+      for (const auto& [k, v] : sparse) put(k, v);
+    }
+  }
+  char* header = out.data();
+  std::memcpy(header, kMagic.data(), kMagic.size());
+  put_u64(header + 8, kind == StorageKind::Dense ? kKindDense : kKindSparse);
+  put_u64(header + 16, store.num_metrics());
+  put_u64(header + 24, store.num_cnodes());
+  put_u64(header + 32, store.num_threads());
+  put_u64(header + 40, entries);
+  put_u64(header + 48,
+          fnv1a(std::string_view(payload, out.size() - kHeaderBytes)));
+  return out;
 }
 
 std::string to_cube_sev(const SeverityStore& store) {
-  std::ostringstream out(std::ios::binary);
-  write_cube_sev(store, out);
-  return std::move(out).str();
+  return to_cube_sev(store, store.kind());
 }
 
 std::unique_ptr<SeverityStore> read_cube_sev(std::string_view data) {
@@ -256,22 +268,24 @@ std::unique_ptr<SeverityStore> read_cube_sev_file(
   }
 }
 
-std::unique_ptr<SeverityStore> map_cube_sev_file(
-    const std::filesystem::path& path) {
-  auto mapping = std::make_shared<MappedFile>(path);
-  const std::string_view data = bytes_of(mapping->data(), mapping->size());
-  const Header h = parse_header(data, path.string());
-  // The mapping makes every payload byte loadable; count them all, like
-  // the owned reader — the analyzer's zero-severity-bytes proof treats a
-  // map as a load (pages WILL fault under the reduction).
-  sev_bytes_read_counter().add(data.size() - kHeaderBytes);
-  const std::byte* payload = mapping->data() + kHeaderBytes;
+std::unique_ptr<SeverityStore> borrow_cube_sev(
+    std::shared_ptr<const ByteOwner> owner, std::size_t offset,
+    std::size_t size, const std::string& what) {
+  if (offset > owner->size() || size > owner->size() - offset) {
+    throw Error(what + ": severity blob lies outside its buffer");
+  }
+  const std::byte* blob = owner->data() + offset;
+  const Header h = parse_header(bytes_of(blob, size), what);
+  const std::byte* payload = blob + kHeaderBytes;
+  if (reinterpret_cast<std::uintptr_t>(payload) % alignof(Severity) != 0) {
+    throw Error(what + ": severity blob payload is not 8-byte aligned");
+  }
   if (h.kind == kKindDense) {
     const std::span<const Severity> cells(
         reinterpret_cast<const Severity*>(payload),
         static_cast<std::size_t>(h.entries));
     return std::make_unique<DenseSeverity>(h.metrics, h.cnodes, h.threads,
-                                           cells, std::move(mapping));
+                                           cells, std::move(owner));
   }
   const std::span<const std::uint64_t> keys(
       reinterpret_cast<const std::uint64_t*>(payload),
@@ -281,7 +295,19 @@ std::unique_ptr<SeverityStore> map_cube_sev_file(
                                         h.entries * sizeof(std::uint64_t)),
       static_cast<std::size_t>(h.entries));
   return std::make_unique<SparseSeverity>(h.metrics, h.cnodes, h.threads,
-                                          keys, values, std::move(mapping));
+                                          keys, values, std::move(owner));
+}
+
+std::unique_ptr<SeverityStore> map_cube_sev_file(
+    const std::filesystem::path& path) {
+  auto mapping = std::make_shared<MappedFile>(path);
+  const std::size_t size = mapping->size();
+  auto store = borrow_cube_sev(std::move(mapping), 0, size, path.string());
+  // The mapping makes every payload byte loadable; count them all, like
+  // the owned reader — the analyzer's zero-severity-bytes proof treats a
+  // map as a load (pages WILL fault under the reduction).
+  sev_bytes_read_counter().add(size - kHeaderBytes);
+  return store;
 }
 
 SevBlobStat stat_cube_sev_file(const std::filesystem::path& path) {

@@ -17,24 +17,29 @@
 //                       then entries doubles (matching values, non-zero)
 //
 // The payload starts 8-aligned, and the sparse value column follows an
-// 8-byte key column, so a page-aligned mmap of the file yields aligned
-// u64/f64 views — severity stores borrow them directly (severity.hpp,
-// file-backed mode).
+// 8-byte key column, so a blob that itself starts 8-aligned — a
+// page-aligned mmap of the file, or a Result frame (server/protocol.hpp)
+// — yields aligned u64/f64 views that severity stores borrow directly
+// (severity.hpp, borrowed mode).
+//
+// The same blob is the repository's columnar severity file, the result
+// cache's entry, and the body of a Result frame.
 //
 // Integrity: read_cube_sev (owned) verifies the payload digest.
-// map_cube_sev_file validates the header/geometry only — verifying the
-// digest would fault in every page, defeating the point of mapping; use
-// check_cube_sev_file (lint, validators) for a full check.
+// map_cube_sev_file and borrow_cube_sev validate the header/geometry (and
+// the sparse key order) only — verifying the digest would touch every
+// payload byte, defeating the point of borrowing; use check_cube_sev_file
+// (lint, validators) for a full check.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "common/byte_owner.hpp"
 #include "model/severity.hpp"
 
 namespace cube {
@@ -56,10 +61,18 @@ using SeverityResolver = std::function<std::unique_ptr<SeverityStore>(
 [[nodiscard]] SeverityResolver directory_severity_resolver(
     std::filesystem::path directory, bool map = true);
 
-/// Serializes a store as a CUBESEV1 blob.  Dense stores write every cell;
-/// sparse stores write the sorted non-zero columns.
-void write_cube_sev(const SeverityStore& store, std::ostream& out);
+/// Serializes a store as a CUBESEV1 blob of `kind`, into one buffer of
+/// the final size: dense writes every cell, sparse the sorted non-zero
+/// columns.  Either kind can be written from either store.
+[[nodiscard]] std::string to_cube_sev(const SeverityStore& store,
+                                      StorageKind kind);
+/// The blob kind of the store's own kind (what the repository writes).
 [[nodiscard]] std::string to_cube_sev(const SeverityStore& store);
+
+/// The smaller blob kind for `store` by the densify rule (severity.hpp):
+/// dense when 2 * non-zeros >= cells.  A blob of this kind is never
+/// larger than 16 bytes per non-zero plus the header.
+[[nodiscard]] StorageKind compact_sev_kind(const SeverityStore& store);
 
 /// Deserializes a blob into an owned store, verifying the payload digest.
 /// Throws cube::Error on bad magic, truncation, geometry mismatch, or a
@@ -76,6 +89,16 @@ void write_cube_sev(const SeverityStore& store, std::ostream& out);
 /// payload digest is NOT (see header comment).
 [[nodiscard]] std::unique_ptr<SeverityStore> map_cube_sev_file(
     const std::filesystem::path& path);
+
+/// Wraps the blob at [offset, offset + size) of `owner` as a borrowed
+/// store that keeps `owner` alive: no byte is copied.  Validates the
+/// header, the geometry against `size`, the payload's 8-byte alignment
+/// in memory and (sparse) the key order and range — not the digest.
+/// Releasing cells releases them through the owner (a no-op on heap
+/// bytes).  Throws cube::Error prefixed with `what`.
+[[nodiscard]] std::unique_ptr<SeverityStore> borrow_cube_sev(
+    std::shared_ptr<const ByteOwner> owner, std::size_t offset,
+    std::size_t size, const std::string& what);
 
 /// Full integrity check (header, geometry, payload digest, sparse key
 /// order).  Throws cube::Error describing the first problem found.

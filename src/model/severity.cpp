@@ -30,7 +30,7 @@ DenseSeverity::DenseSeverity(std::size_t metrics, std::size_t cnodes,
 DenseSeverity::DenseSeverity(std::size_t metrics, std::size_t cnodes,
                              std::size_t threads,
                              std::span<const Severity> cells,
-                             std::shared_ptr<const MappedFile> backing)
+                             std::shared_ptr<const ByteOwner> backing)
     : SeverityStore(metrics, cnodes, threads),
       view_(cells),
       backing_(std::move(backing)) {
@@ -39,7 +39,7 @@ DenseSeverity::DenseSeverity(std::size_t metrics, std::size_t cnodes,
                 " cells, shape needs " + std::to_string(num_cells()));
   }
   if (backing_ == nullptr) {
-    throw Error("borrowed dense severity requires a file backing");
+    throw Error("borrowed dense severity requires a byte owner");
   }
 }
 
@@ -143,7 +143,7 @@ SparseSeverity::SparseSeverity(std::size_t metrics, std::size_t cnodes,
                                std::size_t threads,
                                std::span<const std::uint64_t> keys,
                                std::span<const Severity> values,
-                               std::shared_ptr<const MappedFile> backing)
+                               std::shared_ptr<const ByteOwner> backing)
     : SeverityStore(metrics, cnodes, threads),
       keys_view_(keys),
       vals_view_(values),
@@ -152,7 +152,7 @@ SparseSeverity::SparseSeverity(std::size_t metrics, std::size_t cnodes,
     throw Error("borrowed sparse severity column lengths differ");
   }
   if (backing_ == nullptr) {
-    throw Error("borrowed sparse severity requires a file backing");
+    throw Error("borrowed sparse severity requires a byte owner");
   }
   const std::uint64_t cells = num_cells();
   std::uint64_t prev = 0;
@@ -218,8 +218,8 @@ void SparseSeverity::add(MetricIndex m, CnodeIndex c, ThreadIndex t,
 std::size_t SparseSeverity::nonzero_count() const {
   if (backing_ != nullptr) {
     // The CUBESEV1 writer drops zero cells, so entry count == nonzero
-    // count — O(1) from the key column's extent, without faulting in the
-    // mmapped values pages (the operator dispatch heuristic polls this
+    // count — O(1) from the key column's extent, without faulting in
+    // mapped values pages (the operator dispatch heuristic polls this
     // before every file-backed streaming reduction).
     return keys_view_.size();
   }
@@ -232,7 +232,7 @@ std::size_t SparseSeverity::nonzero_count() const {
 
 std::size_t SparseSeverity::memory_bytes() const {
   // Bucket array + one node allocation per entry (libstdc++ layout estimate).
-  // Borrowed columns are mapped file pages, not heap.
+  // Borrowed columns belong to their owner.
   return values_.bucket_count() * sizeof(void*) +
          values_.size() *
              (sizeof(std::uint64_t) + sizeof(Severity) + 2 * sizeof(void*));

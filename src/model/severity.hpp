@@ -17,11 +17,13 @@
 // these, so dense combines become flat vectorizable loops and sparse
 // operands cost O(nnz) instead of O(M*C*T).
 //
-// Both stores additionally support a read-only FILE-BACKED mode over an
-// mmapped CUBESEV1 blob (src/io/severity_format.hpp): the bulk accessors
-// then yield borrowed views over file-backed pages, release_cells() lets
-// a streaming consumer drop pages behind its sweep, and the first
-// mutation transparently detaches into an owned copy.
+// Both stores additionally support a read-only BORROWED mode over a
+// CUBESEV1 blob held by a ByteOwner (src/io/severity_format.hpp): the
+// pages of a mapped blob file, or a received Result frame.  The bulk
+// accessors then yield views into those bytes, release_cells() lets a
+// streaming consumer drop file pages behind its sweep (a no-op over heap
+// bytes), and the first mutation transparently detaches into an owned
+// copy.
 //
 // bench/bench_storage quantifies the trade-off (ablation A3 in DESIGN.md).
 #pragma once
@@ -34,13 +36,22 @@
 #include <utility>
 #include <vector>
 
-#include "common/mmap_file.hpp"
+#include "common/byte_owner.hpp"
 #include "common/types.hpp"
 
 namespace cube {
 
 /// Which severity container an Experiment uses.
 enum class StorageKind { Dense, Sparse };
+
+/// The one densify rule: `nnz` non-zeros in `cells` cells take no more
+/// room as a dense array (8 bytes/cell) than as sparse key/value columns
+/// (16 bytes/entry).  The severity sweep (batch::classify_operand) and the
+/// Result wire encoding (io/severity_format.hpp) both decide by it.
+[[nodiscard]] constexpr bool densify(std::uint64_t nnz,
+                                     std::uint64_t cells) noexcept {
+  return 2 * nnz >= cells;
+}
 
 /// Abstract severity container over a fixed (metrics x cnodes x threads)
 /// index space.  Out-of-range indices throw cube::Error.
@@ -70,18 +81,18 @@ class SeverityStore {
   /// Number of stored entries with a non-zero value.
   [[nodiscard]] virtual std::size_t nonzero_count() const = 0;
   /// Approximate heap bytes used by the container (for the ablation bench).
-  /// File-backed stores report only their heap-side bookkeeping; mapped
-  /// pages are not heap and are reclaimable via release_cells().
+  /// Borrowed stores report only their own bookkeeping; the borrowed
+  /// bytes belong to their owner.
   [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
 
-  /// True when the store's cells live in mapped file pages rather than
-  /// heap memory (see file-backed mode above).
-  [[nodiscard]] virtual bool file_backed() const noexcept { return false; }
+  /// True when the store's cells live in bytes borrowed from a ByteOwner
+  /// rather than in the store itself (see borrowed mode above).
+  [[nodiscard]] virtual bool borrowed() const noexcept { return false; }
 
   /// Streaming hint: the flattened cell range [lo, hi) has been consumed
-  /// and will not be revisited.  File-backed stores drop the resident
-  /// pages holding those cells (values stay readable — pages re-fault
-  /// from the blob); owned stores ignore it.  Never throws.
+  /// and will not be revisited.  Stores borrowing a mapped file drop the
+  /// resident pages holding those cells (values stay readable — pages
+  /// re-fault from the blob); every other store ignores it.  Never throws.
   virtual void release_cells(std::uint64_t lo, std::uint64_t hi) const {
     (void)lo;
     (void)hi;
@@ -100,10 +111,10 @@ class SeverityStore {
 
 /// Contiguous row-major [metric][cnode][thread] array.
 ///
-/// Owned mode holds the cells in a std::vector.  Borrowed (file-backed)
-/// mode views a span of cells inside a shared MappedFile — reads and all
-/// bulk accessors work unchanged; the first set()/add()/cells_mut()
-/// copies the view into an owned vector (detach-on-write).
+/// Owned mode holds the cells in a std::vector.  Borrowed mode views a
+/// span of cells inside a shared ByteOwner — reads and all bulk accessors
+/// work unchanged; the first set()/add()/cells_mut() copies the view into
+/// an owned vector (detach-on-write).
 class DenseSeverity final : public SeverityStore {
  public:
   DenseSeverity(std::size_t metrics, std::size_t cnodes, std::size_t threads);
@@ -112,7 +123,7 @@ class DenseSeverity final : public SeverityStore {
   /// living inside `backing` at byte offset cells.data() - backing->data().
   DenseSeverity(std::size_t metrics, std::size_t cnodes, std::size_t threads,
                 std::span<const Severity> cells,
-                std::shared_ptr<const MappedFile> backing);
+                std::shared_ptr<const ByteOwner> backing);
 
   // view_ must re-anchor onto the destination's vector when copying an
   // owned store; the defaults would alias the source.
@@ -128,7 +139,7 @@ class DenseSeverity final : public SeverityStore {
   void add(MetricIndex m, CnodeIndex c, ThreadIndex t, Severity v) override;
   [[nodiscard]] std::size_t nonzero_count() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
-  [[nodiscard]] bool file_backed() const noexcept override {
+  [[nodiscard]] bool borrowed() const noexcept override {
     return backing_ != nullptr;
   }
   void release_cells(std::uint64_t lo, std::uint64_t hi) const override;
@@ -152,7 +163,7 @@ class DenseSeverity final : public SeverityStore {
   }
   /// Mutable view of the flattened cell range [lo, hi).  Disjoint ranges
   /// may be written concurrently; that is what makes dense results safe
-  /// for chunk-parallel operator kernels.  Detaches a file-backed store
+  /// for chunk-parallel operator kernels.  Detaches a borrowed store
   /// (NOT thread-safe against concurrent reads — detach before sharing).
   [[nodiscard]] std::span<Severity> cells_mut(std::size_t lo, std::size_t hi) {
     detach();
@@ -169,16 +180,16 @@ class DenseSeverity final : public SeverityStore {
 
   std::vector<Severity> values_;
   std::span<const Severity> view_;  ///< always valid: values_ or the mapping
-  std::shared_ptr<const MappedFile> backing_;  ///< non-null in borrowed mode
+  std::shared_ptr<const ByteOwner> backing_;  ///< non-null in borrowed mode
 };
 
 /// Hash-map store for sparse experiments; zero entries are not materialized.
 ///
-/// Owned mode is the hash map.  Borrowed (file-backed) mode views the two
-/// sorted CUBESEV1 columns (ascending keys, matching values) inside a
-/// shared MappedFile: get() binary-searches, ordered visitation walks the
-/// columns directly (no sort needed), and the first mutation detaches
-/// into the hash map.
+/// Owned mode is the hash map.  Borrowed mode views the two sorted
+/// CUBESEV1 columns (ascending keys, matching values) inside a shared
+/// ByteOwner: get() binary-searches, ordered visitation walks the columns
+/// directly (no sort needed), and the first mutation detaches into the
+/// hash map.
 class SparseSeverity final : public SeverityStore {
  public:
   SparseSeverity(std::size_t metrics, std::size_t cnodes, std::size_t threads);
@@ -188,7 +199,7 @@ class SparseSeverity final : public SeverityStore {
   SparseSeverity(std::size_t metrics, std::size_t cnodes, std::size_t threads,
                  std::span<const std::uint64_t> keys,
                  std::span<const Severity> values,
-                 std::shared_ptr<const MappedFile> backing);
+                 std::shared_ptr<const ByteOwner> backing);
 
   [[nodiscard]] Severity get(MetricIndex m, CnodeIndex c,
                              ThreadIndex t) const override;
@@ -196,7 +207,7 @@ class SparseSeverity final : public SeverityStore {
   void add(MetricIndex m, CnodeIndex c, ThreadIndex t, Severity v) override;
   [[nodiscard]] std::size_t nonzero_count() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
-  [[nodiscard]] bool file_backed() const noexcept override {
+  [[nodiscard]] bool borrowed() const noexcept override {
     return backing_ != nullptr;
   }
   void release_cells(std::uint64_t lo, std::uint64_t hi) const override;
@@ -213,7 +224,7 @@ class SparseSeverity final : public SeverityStore {
   // are bit-identical to per-cell reference code.
 
   /// Sorted snapshot of all (flattened key, value) entries, ascending by
-  /// key.  O(nnz log nnz) owned (O(nnz) copy when file-backed, already
+  /// key.  O(nnz log nnz) owned (O(nnz) copy when borrowed, already
   /// sorted); the severity sweep takes one snapshot per operand and
   /// binary-searches it per chunk instead of re-scanning the hash map.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Severity>> sorted_cells()
@@ -235,7 +246,7 @@ class SparseSeverity final : public SeverityStore {
 
   /// Calls fn(flattened_key, value) for every non-zero cell with key in
   /// [lo, hi), ascending by key.  One hash-map scan + sort of the hits
-  /// owned; a binary search + column walk when file-backed.  Use
+  /// owned; a binary search + column walk when borrowed.  Use
   /// sorted_cells() when visiting many ranges of the same store.
   template <typename Fn>
   void for_each_nonzero(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
@@ -269,7 +280,7 @@ class SparseSeverity final : public SeverityStore {
   std::unordered_map<std::uint64_t, Severity> values_;
   std::span<const std::uint64_t> keys_view_;  ///< borrowed mode only
   std::span<const Severity> vals_view_;       ///< borrowed mode only
-  std::shared_ptr<const MappedFile> backing_;  ///< non-null in borrowed mode
+  std::shared_ptr<const ByteOwner> backing_;  ///< non-null in borrowed mode
 };
 
 /// Factory for the requested storage kind.

@@ -415,7 +415,9 @@ PlanAnalysis analyze_plan(const QueryPlan& plan,
         ++est.cache_hits;
         est.bytes_loaded += hit->second.second;
         est.bytes_faulted += hit->second.second;
-        // Cached cubes load as dense binary experiments.
+        // Cached cubes load as columnar blobs in the stored result's
+        // storage kind (OperatorOptions::storage, dense by default);
+        // counted dense.
         est.peak_resident_bytes += dense_bytes(cost.cells);
         continue;
       }

@@ -11,7 +11,6 @@
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
-#include "io/binary_format.hpp"
 #include "io/cube_format.hpp"
 #include "lint/lint.hpp"
 #include "obs/metrics.hpp"
@@ -283,7 +282,7 @@ QueryResult QueryEngine::run_plan(const QueryPlan& plan) {
         const double eval_ms = ms_since(t0);
         std::lock_guard<std::mutex> lock(mutex);
         if (options_.store_derived) {
-          repo_->store(*e, RepoFormat::Binary);
+          repo_->store(*e, RepoFormat::Columnar);
         }
         results[i] = std::move(e);
         ++stats.nodes_evaluated;

@@ -10,8 +10,10 @@
 #include <cstring>
 #include <utility>
 
-#include "io/binary_format.hpp"
+#include "common/byte_owner.hpp"
+#include "common/digest.hpp"
 #include "io/meta_format.hpp"
+#include "io/severity_format.hpp"
 
 namespace cube::server {
 
@@ -37,6 +39,40 @@ int connect_unix(const std::filesystem::path& path) {
 }
 
 }  // namespace
+
+ClientResult decode_client_result(std::string payload, MetadataStore& metas) {
+  const std::size_t wire_bytes = payload.size();
+  auto frame = std::make_shared<const HeapBytes>(std::move(payload));
+  const ResultView view = decode_result_view(frame->str());
+  if (!view.meta_blob.empty()) {
+    std::shared_ptr<const Metadata> md = read_cube_meta(view.meta_blob);
+    if (md->digest() != view.meta_digest) {
+      throw ProtocolError("malformed Result payload: metadata blob digest " +
+                          digest_hex(md->digest()) +
+                          " does not match the result's " +
+                          digest_hex(view.meta_digest));
+    }
+    metas[md->digest()] = std::move(md);
+  }
+  const auto it = metas.find(view.meta_digest);
+  if (it == metas.end()) {
+    throw ProtocolError("Result references metadata " +
+                        digest_hex(view.meta_digest) +
+                        " this session never received");
+  }
+  Experiment experiment(
+      it->second, borrow_cube_sev(frame, view.severity_offset,
+                                  view.severity.size(), "Result severity"));
+  for (const auto& [key, value] : view.attributes) {
+    experiment.set_attribute(std::string(key), std::string(value));
+  }
+  return ClientResult{std::move(experiment),
+                      view.served,
+                      std::string(view.canonical),
+                      view.server_ms,
+                      wire_bytes,
+                      !view.meta_blob.empty()};
+}
 
 CubeClient::CubeClient(ClientConfig config) : config_(std::move(config)) {
   // A server vanishing mid-write must surface as EPIPE/IoError, not kill
@@ -144,25 +180,7 @@ ClientResult CubeClient::query(const std::string& text,
     throw ProtocolError(std::string("expected Result, got ") +
                         msg_type_name(reply->type));
   }
-  const std::size_t wire_bytes = reply->payload.size();
-  ResultPayload result = decode_result(reply->payload);
-
-  if (!result.meta_blob.empty()) {
-    std::shared_ptr<const Metadata> md = read_cube_meta(result.meta_blob);
-    metas_[md->digest()] = std::move(md);
-  }
-  ClientResult out{
-      read_cube_binary(result.body, config_.storage,
-                       [this](std::uint64_t digest) {
-                         auto it = metas_.find(digest);
-                         return it == metas_.end() ? nullptr : it->second;
-                       }),
-      result.served,
-      std::move(result.canonical),
-      result.server_ms,
-      wire_bytes,
-      !result.meta_blob.empty()};
-  return out;
+  return decode_client_result(std::move(reply->payload), metas_);
 }
 
 StatsPayload CubeClient::stats() {

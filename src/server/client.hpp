@@ -6,7 +6,9 @@
 // CUBEMET1 blob only the first time a metadata digest appears, and the
 // client interns the decoded Metadata so every later result over the
 // same digest shares the instance (pointer-equal, like the repository's
-// interner).
+// interner).  The result's severity store BORROWS the received frame: it
+// views the CUBESEV1 blob in place, kept alive by a shared_ptr, and
+// copies only if the caller mutates it.
 //
 // NOT thread-safe: one CubeClient per thread (sessions are cheap; the
 // daemon multiplexes them onto a shared service).
@@ -59,8 +61,6 @@ struct ClientConfig {
   /// Client name reported in Hello.
   std::string name = "cube_client";
   std::uint64_t max_payload = kDefaultMaxPayload;
-  /// Storage of decoded result experiments.
-  StorageKind storage = StorageKind::Dense;
 };
 
 struct ClientResult {
@@ -71,6 +71,18 @@ struct ClientResult {
   std::size_t wire_bytes = 0;   ///< Result payload size on the wire
   bool meta_shipped = false;    ///< this result carried its CUBEMET1 blob
 };
+
+/// Session metadata store: digest -> interned instance.
+using MetadataStore = std::map<std::uint64_t, std::shared_ptr<const Metadata>>;
+
+/// Decodes one Result payload the way CubeClient::query does: a shipped
+/// CUBEMET1 blob is checked against the payload's metadata digest and
+/// interned into `metas`, the digest is resolved there, and the CUBESEV1
+/// blob becomes a borrowed severity store over `payload` (moved in, never
+/// copied), its header and geometry validated — not its digest.  Throws
+/// ProtocolError or another cube::Error on malformed input.
+[[nodiscard]] ClientResult decode_client_result(std::string payload,
+                                                MetadataStore& metas);
 
 class CubeClient {
  public:
@@ -135,8 +147,7 @@ class CubeClient {
   /// distinguishable, then incremented per query.
   std::uint64_t next_request_id_ = 1;
   std::uint64_t last_request_id_ = 0;
-  /// Session metadata store: digest -> interned instance.
-  std::map<std::uint64_t, std::shared_ptr<const Metadata>> metas_;
+  MetadataStore metas_;
 };
 
 }  // namespace cube::server

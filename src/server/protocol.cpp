@@ -1,5 +1,8 @@
 #include "server/protocol.hpp"
 
+#include <sys/uio.h>
+
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -57,6 +60,8 @@ std::uint64_t get_u64(const char* in) {
 }
 
 constexpr std::size_t kHeaderSize = 16;
+/// The Result's severity blob starts at a multiple of this payload offset.
+constexpr std::size_t kResultBlobAlign = 8;
 
 bool known_type(std::uint32_t t) {
   return t >= static_cast<std::uint32_t>(MsgType::Hello) &&
@@ -201,34 +206,161 @@ QueryPayload decode_query(std::string_view payload) {
   });
 }
 
-std::string encode_result(const ResultPayload& p) {
-  std::ostringstream out;
-  detail::BinaryEncoder e(out);
-  e.u32(static_cast<std::uint32_t>(p.served));
-  e.str(p.meta_blob);
-  e.str(p.body);
-  e.str(p.canonical);
-  e.f64(p.server_ms);
-  return out.str();
+namespace {
+
+void append_u32(std::string& out, std::uint32_t v) {
+  char buf[4];
+  put_u32(buf, v);
+  out.append(buf, 4);
 }
 
-ResultPayload decode_result(std::string_view payload) {
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[8];
+  put_u64(buf, v);
+  out.append(buf, 8);
+}
+
+void append_f64(std::string& out, double v) {
+  char buf[8];
+  std::memcpy(buf, &v, 8);
+  out.append(buf, 8);
+}
+
+void append_str(std::string& out, std::string_view s) {
+  append_u32(out, static_cast<std::uint32_t>(s.size()));
+  out.append(s);
+}
+
+std::string_view view_of(const std::shared_ptr<const std::string>& blob) {
+  return blob ? std::string_view(*blob) : std::string_view();
+}
+
+/// A Result payload in wire order: the encoded fields around the two
+/// shared blobs, which are referenced, never copied.
+struct ResultParts {
+  std::string head;  ///< `lead` reserved bytes, then served .. meta length
+  std::string_view meta;
+  std::string tail;  ///< meta_digest, attributes, pad
+  std::string_view severity;
+
+  [[nodiscard]] std::size_t payload_size(std::size_t lead) const {
+    return head.size() - lead + meta.size() + tail.size() + severity.size();
+  }
+};
+
+/// Encodes `p`, leaving `lead` bytes at the front of `head` for the caller
+/// (the frame header); the pad is computed from the payload's start.
+ResultParts result_parts(const ResultPayload& p, std::size_t lead) {
+  ResultParts parts;
+  parts.meta = view_of(p.meta_blob);
+  parts.severity = view_of(p.severity);
+  parts.head.reserve(lead + 4 + 8 + 4 + p.canonical.size() + 4);
+  parts.head.resize(lead);
+  append_u32(parts.head, static_cast<std::uint32_t>(p.served));
+  append_f64(parts.head, p.server_ms);
+  append_str(parts.head, p.canonical);
+  append_u32(parts.head, static_cast<std::uint32_t>(parts.meta.size()));
+  append_u64(parts.tail, p.meta_digest);
+  append_u32(parts.tail, static_cast<std::uint32_t>(p.attributes.size()));
+  for (const auto& [key, value] : p.attributes) {
+    append_str(parts.tail, key);
+    append_str(parts.tail, value);
+  }
+  const std::size_t before_pad =
+      parts.head.size() - lead + parts.meta.size() + parts.tail.size() + 4;
+  const std::uint32_t pad = static_cast<std::uint32_t>(
+      (kResultBlobAlign - before_pad % kResultBlobAlign) % kResultBlobAlign);
+  append_u32(parts.tail, pad);
+  parts.tail.append(pad, '\0');
+  return parts;
+}
+
+}  // namespace
+
+std::string encode_result(const ResultPayload& p) {
+  const ResultParts parts = result_parts(p, 0);
+  std::string out;
+  out.reserve(parts.payload_size(0));
+  out.append(parts.head);
+  out.append(parts.meta);
+  out.append(parts.tail);
+  out.append(parts.severity);
+  return out;
+}
+
+std::size_t write_result_frame(int fd, const ResultPayload& p) {
+  ResultParts parts = result_parts(p, kHeaderSize);
+  const std::size_t payload = parts.payload_size(kHeaderSize);
+  put_u32(parts.head.data(), kFrameMagic);
+  put_u32(parts.head.data() + 4, static_cast<std::uint32_t>(MsgType::Result));
+  put_u64(parts.head.data() + 8, payload);
+  iovec iov[4] = {
+      {parts.head.data(), parts.head.size()},
+      {const_cast<char*>(parts.meta.data()), parts.meta.size()},
+      {parts.tail.data(), parts.tail.size()},
+      {const_cast<char*>(parts.severity.data()), parts.severity.size()},
+  };
+  writev_full(fd, iov, 4);
+  return kHeaderSize + payload;
+}
+
+ResultView decode_result_view(std::string_view payload) {
   return decoding("Result", [&] {
     detail::BinaryDecoder d(payload);
-    ResultPayload p;
+    ResultView v;
     const std::uint32_t served = d.u32();
     if (served > static_cast<std::uint32_t>(Served::Coalesced)) {
       throw ProtocolError("malformed Result payload: unknown served mode " +
                           std::to_string(served));
     }
-    p.served = static_cast<Served>(served);
-    p.meta_blob = d.str();
-    p.body = d.str();
-    p.canonical = d.str();
-    p.server_ms = d.f64();
-    require_done(d, "Result");
-    return p;
+    v.served = static_cast<Served>(served);
+    v.server_ms = d.f64();
+    v.canonical = d.str_view();
+    v.meta_blob = d.str_view();
+    v.meta_digest = d.u64();
+    const std::uint32_t n = d.u32();
+    // Each attribute takes at least its two length prefixes: a count
+    // beyond what the payload can hold fails on the first short read
+    // below instead of reserving for it.
+    v.attributes.reserve(std::min<std::size_t>(n, d.remaining() / 8));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::string_view key = d.str_view();
+      v.attributes.emplace_back(key, d.str_view());
+    }
+    const std::uint32_t pad = d.u32();
+    if (pad >= kResultBlobAlign) {
+      throw ProtocolError("malformed Result payload: pad of " +
+                          std::to_string(pad) + " bytes");
+    }
+    if (d.bytes(pad).find_first_not_of('\0') != std::string_view::npos) {
+      throw ProtocolError("malformed Result payload: nonzero pad bytes");
+    }
+    v.severity_offset = d.position();
+    if (v.severity_offset % kResultBlobAlign != 0) {
+      throw ProtocolError(
+          "malformed Result payload: severity blob at misaligned offset " +
+          std::to_string(v.severity_offset));
+    }
+    v.severity = d.bytes(d.remaining());
+    return v;
   });
+}
+
+ResultPayload decode_result(std::string_view payload) {
+  const ResultView v = decode_result_view(payload);
+  ResultPayload p;
+  p.served = v.served;
+  p.server_ms = v.server_ms;
+  p.canonical = std::string(v.canonical);
+  if (!v.meta_blob.empty()) {
+    p.meta_blob = std::make_shared<const std::string>(v.meta_blob);
+  }
+  p.meta_digest = v.meta_digest;
+  for (const auto& [key, value] : v.attributes) {
+    p.attributes.emplace(key, value);
+  }
+  p.severity = std::make_shared<const std::string>(v.severity);
+  return p;
 }
 
 std::string encode_error(const ErrorPayload& p) {

@@ -10,12 +10,16 @@
 //
 // Payloads are encoded with the same little-endian codec the CUBEBIN2 /
 // CUBEMET1 file formats use (io/binary_codec.hpp): u32/u64/f64 fields and
-// u32-length-prefixed strings.  Experiment results travel AS the file
-// formats themselves: a Result payload carries a CUBEBIN2 by-reference
-// experiment body plus — the first time a session sees a given metadata
-// digest — the CUBEMET1 blob it references, so a series of results over
-// one metadata ships the metadata once per session, mirroring how the
-// repository stores it once per store.
+// u32-length-prefixed strings.  A Result payload carries its experiment
+// as plain fields plus file-format blobs: the attributes, the metadata
+// digest and — the first time a session sees that digest — the CUBEMET1
+// blob it names, so a series of results over one metadata ships the
+// metadata once per session, mirroring how the repository stores it once
+// per store.  The severity function travels last, as a CUBESEV1 blob
+// (io/severity_format.hpp) padded to start 8-byte aligned: the server
+// encodes it once per computed result and writes the cached bytes on
+// every hit, and the client wraps the received frame as a borrowed
+// severity store without copying or decoding a cell.
 //
 // Framing reads and writes go through the EINTR-safe helpers in
 // common/posix_io.hpp: a signal or a partial socket transfer must never
@@ -26,9 +30,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -36,7 +43,8 @@
 
 namespace cube::server {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Version 2: Result bodies are CUBESEV1 blobs (version 1 sent CUBEBIN2).
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// "CUBS" read as a little-endian u32.
 inline constexpr std::uint32_t kFrameMagic = 0x53425543u;
 /// Default ceiling on a single frame's payload.  A length prefix beyond
@@ -54,7 +62,7 @@ enum class MsgType : std::uint32_t {
   Hello = 1,    ///< client -> server: version + client name
   HelloOk,      ///< server -> client: version + server name + generation
   Query,        ///< client -> server: query text
-  Result,       ///< server -> client: CUBEMET1? + CUBEBIN2 + stats
+  Result,       ///< server -> client: fields + CUBEMET1? + CUBESEV1
   Error,        ///< server -> client: structured failure
   Busy,         ///< server -> client: admission control shed the request
   Ping,         ///< client -> server: liveness probe
@@ -117,15 +125,44 @@ enum class Served : std::uint32_t {
   Coalesced = 2,  ///< waited on another client's identical in-flight query
 };
 
+/// A Result payload, in wire order:
+///
+///     u32  served          Served
+///     f64  server_ms
+///     str  canonical       canonical root expression
+///     str  meta_blob       CUBEMET1 bytes; empty when the session
+///                          already holds meta_digest
+///     u64  meta_digest     the result's metadata
+///     u32  attribute count, then (str key, str value) ascending by key
+///     u32  pad             0..7, then that many zero bytes, so the blob
+///                          starts at an 8-aligned payload offset
+///     ...  CUBESEV1 blob   the rest of the payload
 struct ResultPayload {
   Served served = Served::Computed;
-  /// CUBEMET1 blob bytes; empty when the session already holds the
-  /// referenced metadata digest.
-  std::string meta_blob;
-  /// CUBEBIN2 by-reference experiment bytes.
-  std::string body;
-  std::string canonical;  ///< canonical root expression
   double server_ms = 0.0; ///< service time observed by the server
+  std::string canonical;  ///< canonical root expression
+  /// CUBEMET1 blob bytes; null or empty when the session already holds
+  /// the referenced metadata digest.
+  std::shared_ptr<const std::string> meta_blob;
+  std::uint64_t meta_digest = 0;
+  std::map<std::string, std::string> attributes;
+  /// CUBESEV1 blob bytes (shared with the server's result cache; null
+  /// encodes as an empty blob).
+  std::shared_ptr<const std::string> severity;
+};
+
+/// A decoded Result payload whose variable-size fields VIEW the payload
+/// (valid while it is): what the client borrows from.  Framing, the pad
+/// and the blob's offset are checked; the blob's content is not.
+struct ResultView {
+  Served served = Served::Computed;
+  double server_ms = 0.0;
+  std::string_view canonical;
+  std::string_view meta_blob;
+  std::uint64_t meta_digest = 0;
+  std::vector<std::pair<std::string_view, std::string_view>> attributes;
+  std::size_t severity_offset = 0;  ///< of the blob within the payload
+  std::string_view severity;
 };
 
 /// One structured finding attached to an Error frame — the wire form of a
@@ -196,7 +233,15 @@ struct HealthPayload {
 [[nodiscard]] std::string encode_query(const QueryPayload& p);
 [[nodiscard]] QueryPayload decode_query(std::string_view payload);
 [[nodiscard]] std::string encode_result(const ResultPayload& p);
+/// Decodes a Result, copying every field out of `payload`.
 [[nodiscard]] ResultPayload decode_result(std::string_view payload);
+[[nodiscard]] ResultView decode_result_view(std::string_view payload);
+/// Writes one Result frame: the frame header and the encoded fields
+/// around the shared meta and severity blobs go out in one gather write,
+/// so the blobs are never copied.  Same bytes as
+/// write_frame(fd, MsgType::Result, encode_result(p)); returns the total
+/// bytes put on the wire.
+std::size_t write_result_frame(int fd, const ResultPayload& p);
 [[nodiscard]] std::string encode_error(const ErrorPayload& p);
 [[nodiscard]] ErrorPayload decode_error(std::string_view payload);
 [[nodiscard]] std::string encode_busy(const BusyPayload& p);

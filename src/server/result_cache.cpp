@@ -3,7 +3,37 @@
 #include <stdexcept>
 #include <utility>
 
+#include "io/meta_format.hpp"
+#include "io/severity_format.hpp"
+
 namespace cube::server {
+
+CachedResult CachedResult::encode(std::string canonical,
+                                  const Experiment& experiment) {
+  CachedResult out;
+  out.canonical = std::move(canonical);
+  out.meta_digest = experiment.metadata().digest();
+  out.attributes = experiment.attributes();
+  out.meta_blob = std::make_shared<const std::string>(
+      to_cube_meta(experiment.metadata()));
+  const SeverityStore& severity = experiment.severity();
+  out.severity = std::make_shared<const std::string>(
+      to_cube_sev(severity, compact_sev_kind(severity)));
+  return out;
+}
+
+ResultPayload CachedResult::payload(Served served, double server_ms,
+                                    bool ship_meta) const {
+  ResultPayload p;
+  p.served = served;
+  p.server_ms = server_ms;
+  p.canonical = canonical;
+  if (ship_meta) p.meta_blob = meta_blob;
+  p.meta_digest = meta_digest;
+  p.attributes = attributes;
+  p.severity = severity;
+  return p;
+}
 
 ResultCache::Lookup ResultCache::acquire(std::uint64_t key) {
   std::unique_lock<std::mutex> lock(mutex_.native());

@@ -1,12 +1,13 @@
 // Shared cross-client result cache with in-flight coalescing.
 //
 // The cache maps a planner cache key (the content-addressed digest of a
-// query's root node, src/query/planner.hpp) onto the SERIALIZED result:
-// the CUBEBIN2 body bytes and the CUBEMET1 metadata blob bytes that a
-// Result frame carries.  Caching the wire bytes rather than Experiment
-// objects makes a hit a pure frame write — no re-plan, no operand reload,
-// no re-serialization — and lets every session share one immutable copy
-// through shared_ptr.
+// query's root node, src/query/planner.hpp) onto the result as the Result
+// frame carries it: the attributes and metadata digest as plain fields,
+// the CUBEMET1 metadata blob, and the CUBESEV1 severity blob — encoded
+// once, when the result is computed.  Caching the blobs rather than
+// Experiment objects makes a hit a pure frame write — no re-plan, no
+// operand reload, no re-serialization — and every session writes the one
+// immutable copy, shared through shared_ptr, straight to its socket.
 //
 // Identical concurrent misses COALESCE: the first acquirer of a key
 // becomes the owner and computes; later acquirers block on the slot and
@@ -22,11 +23,14 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "common/thread_safety.hpp"
+#include "model/experiment.hpp"
+#include "server/protocol.hpp"
 
 namespace cube::server {
 
@@ -34,12 +38,26 @@ namespace cube::server {
 struct CachedResult {
   std::string canonical;              ///< canonical root expression
   std::uint64_t meta_digest = 0;      ///< digest of the metadata blob
+  std::map<std::string, std::string> attributes;
   std::shared_ptr<const std::string> meta_blob;  ///< CUBEMET1 bytes
-  std::shared_ptr<const std::string> body;       ///< CUBEBIN2 bytes
+  std::shared_ptr<const std::string> severity;   ///< CUBESEV1 bytes
+
+  /// Encodes `experiment` once, into one buffer per blob: the metadata
+  /// as CUBEMET1, the severity as CUBESEV1 of the kind the densify rule
+  /// picks (never more than 16 bytes per non-zero plus the header).
+  [[nodiscard]] static CachedResult encode(std::string canonical,
+                                           const Experiment& experiment);
+
+  /// The Result a session sends for this entry: the blobs are shared, not
+  /// copied, and the metadata blob ships only when `ship_meta`.
+  [[nodiscard]] ResultPayload payload(Served served, double server_ms,
+                                      bool ship_meta) const;
 
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return canonical.size() + (meta_blob ? meta_blob->size() : 0) +
-           (body ? body->size() : 0);
+    std::size_t n = canonical.size() + (meta_blob ? meta_blob->size() : 0) +
+                    (severity ? severity->size() : 0);
+    for (const auto& [key, value] : attributes) n += key.size() + value.size();
+    return n;
   }
 };
 

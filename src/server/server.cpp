@@ -212,15 +212,12 @@ void CubedServer::session_loop(Session& session) {
               service_.handle_query(query.text, query.request_id);
           switch (outcome.status) {
             case QueryOutcome::Status::Ok: {
-              ResultPayload result;
-              result.served = outcome.served;
-              result.canonical = outcome.result->canonical;
-              result.server_ms = outcome.server_ms;
-              result.body = *outcome.result->body;
-              if (sent_metas.insert(outcome.result->meta_digest).second) {
-                result.meta_blob = *outcome.result->meta_blob;
-              }
-              (void)write_frame(fd, MsgType::Result, encode_result(result));
+              const CachedResult& cached = *outcome.result;
+              const bool ship_meta =
+                  sent_metas.insert(cached.meta_digest).second;
+              (void)write_result_frame(
+                  fd, cached.payload(outcome.served, outcome.server_ms,
+                                     ship_meta));
               break;
             }
             case QueryOutcome::Status::Busy:

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "io/binary_format.hpp"
-#include "io/meta_format.hpp"
 #include "obs/json_export.hpp"
 #include "obs/self_profile.hpp"
 #include "obs/tracer.hpp"
@@ -324,16 +322,14 @@ QueryOutcome AnalysisService::handle_query(const std::string& text,
     query::QueryResult result = engine_->run_plan(*planned.plan);
     slow.compute_ms = static_cast<double>(now_ns() - compute_t0) / 1e6;
 
+    // Encoded once, here on the owner's thread, before publish() takes
+    // the cache mutex; every later hit writes these bytes as they are.
     CachedResult cached;
     {
       const std::int64_t ser_t0 = now_ns();
       OBS_SPAN("server.serialize");
-      cached.canonical = result.canonical;
-      cached.meta_digest = result.experiment.metadata().digest();
-      cached.meta_blob = std::make_shared<const std::string>(
-          to_cube_meta(result.experiment.metadata()));
-      cached.body = std::make_shared<const std::string>(
-          to_cube_binary_ref(result.experiment));
+      cached = CachedResult::encode(std::move(result.canonical),
+                                    result.experiment);
       slow.serialize_ms = static_cast<double>(now_ns() - ser_t0) / 1e6;
     }
     std::shared_ptr<const CachedResult> published =
@@ -526,7 +522,7 @@ std::string AnalysisService::export_self_profile_window() {
   window.set_attribute("cube.self.window", std::to_string(seq));
   window.set_attribute("cube.self.interval_s",
                        std::to_string(config_.self_profile_interval_s));
-  return repo_.store(window, RepoFormat::Binary);
+  return repo_.store(window, RepoFormat::Columnar);
 }
 
 bool AnalysisService::refresh() {

@@ -475,7 +475,7 @@ TEST(BatchKernels, ReleasingOperandPagesNeverChangesResults) {
       out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
     }
     mapped.emplace_back(owned[i].metadata_ptr(), map_cube_sev_file(path));
-    ASSERT_TRUE(mapped.back().severity().file_backed());
+    ASSERT_TRUE(mapped.back().severity().borrowed());
   }
   std::vector<const Experiment*> owned_ptrs, mapped_ptrs;
   for (std::size_t i = 0; i < width; ++i) {

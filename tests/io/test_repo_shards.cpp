@@ -309,7 +309,7 @@ TEST_F(RepoShardsTest, MappedSeverityMatchesOwnedAfterRelease) {
 
   const auto owned = read_cube_sev(blob);
   const auto mapped = map_cube_sev_file(path);
-  ASSERT_TRUE(mapped->file_backed());
+  ASSERT_TRUE(mapped->borrowed());
   const Metadata& md = e.metadata();
   const std::size_t cells =
       md.num_metrics() * md.num_cnodes() * md.num_threads();

@@ -141,7 +141,7 @@ TEST_F(SeverityFormatTest, MappedStoreMatchesOwned) {
   const std::string blob = to_cube_sev(e.severity());
   const std::filesystem::path path = write_blob(blob);
   const auto mapped = map_cube_sev_file(path);
-  EXPECT_TRUE(mapped->file_backed());
+  EXPECT_TRUE(mapped->borrowed());
   for (MetricIndex m = 0; m < e.metadata().num_metrics(); ++m) {
     for (CnodeIndex c = 0; c < e.metadata().num_cnodes(); ++c) {
       for (ThreadIndex t = 0; t < e.metadata().num_threads(); ++t) {
@@ -156,7 +156,7 @@ TEST_F(SeverityFormatTest, MappedSparseStoreMatchesOwned) {
   e.severity().set(2, 3, 1, 0.0);
   const std::filesystem::path path = write_blob(to_cube_sev(e.severity()));
   const auto mapped = map_cube_sev_file(path);
-  EXPECT_TRUE(mapped->file_backed());
+  EXPECT_TRUE(mapped->borrowed());
   ASSERT_EQ(mapped->kind(), StorageKind::Sparse);
   EXPECT_EQ(mapped->nonzero_count(), e.severity().nonzero_count());
   for (MetricIndex m = 0; m < e.metadata().num_metrics(); ++m) {

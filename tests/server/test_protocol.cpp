@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <memory>
 #include <string>
 
 #include "common/error.hpp"
@@ -166,16 +167,49 @@ TEST(Protocol, QueryRoundTrip) {
 TEST(Protocol, ResultRoundTrip) {
   ResultPayload p;
   p.served = Served::Coalesced;
-  p.meta_blob = std::string("CUBEMET1 pretend blob");
-  p.body = std::string(1000, 'b');
+  p.meta_blob = std::make_shared<const std::string>("CUBEMET1 pretend blob");
+  p.meta_digest = 0x1234abcdull;
+  p.attributes = {{"cube::name", "r"}, {"run", "before"}};
+  p.severity = std::make_shared<const std::string>(1000, 'b');
   p.canonical = "mean(id:a@00aa)";
   p.server_ms = 12.5;
-  const ResultPayload q = decode_result(encode_result(p));
+  const std::string bytes = encode_result(p);
+  const ResultPayload q = decode_result(bytes);
   EXPECT_EQ(q.served, Served::Coalesced);
-  EXPECT_EQ(q.meta_blob, p.meta_blob);
-  EXPECT_EQ(q.body, p.body);
+  ASSERT_NE(q.meta_blob, nullptr);
+  EXPECT_EQ(*q.meta_blob, *p.meta_blob);
+  EXPECT_EQ(q.meta_digest, p.meta_digest);
+  EXPECT_EQ(q.attributes, p.attributes);
+  ASSERT_NE(q.severity, nullptr);
+  EXPECT_EQ(*q.severity, *p.severity);
   EXPECT_EQ(q.canonical, p.canonical);
   EXPECT_DOUBLE_EQ(q.server_ms, 12.5);
+  // The blob is last and starts 8-aligned within the payload.
+  const ResultView v = decode_result_view(bytes);
+  EXPECT_EQ(v.severity_offset % 8, 0u);
+  EXPECT_EQ(v.severity_offset + p.severity->size(), bytes.size());
+}
+
+TEST(Protocol, ResultFrameGatherWriteMatchesEncodeResult) {
+  ResultPayload p;
+  p.served = Served::CacheHit;
+  p.canonical = "max(id:a@01, id:b@02)";
+  p.meta_digest = 7;
+  p.attributes = {{"k", "v"}};
+  p.severity = std::make_shared<const std::string>(4096, 's');
+  for (const bool ship_meta : {false, true}) {
+    p.meta_blob = ship_meta
+                      ? std::make_shared<const std::string>("meta bytes")
+                      : nullptr;
+    Pipe pipe;
+    const std::size_t wrote = write_result_frame(pipe.w(), p);
+    pipe.close_write();
+    const auto frame = read_frame(pipe.r());
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, MsgType::Result);
+    EXPECT_EQ(frame->payload, encode_result(p));
+    EXPECT_EQ(wrote, 16 + frame->payload.size());
+  }
 }
 
 TEST(Protocol, ErrorAndBusyRoundTrip) {

@@ -23,7 +23,7 @@ CachedResult make_result(const std::string& canonical, std::size_t bytes) {
   r.canonical = canonical;
   r.meta_digest = 1;
   r.meta_blob = std::make_shared<const std::string>("m");
-  r.body = std::make_shared<const std::string>(std::string(bytes, 'x'));
+  r.severity = std::make_shared<const std::string>(std::string(bytes, 'x'));
   return r;
 }
 

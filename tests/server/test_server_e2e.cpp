@@ -19,6 +19,7 @@
 
 #include "common/error.hpp"
 #include "common/posix_io.hpp"
+#include "io/binary_format.hpp"
 #include "io/cube_format.hpp"
 #include "io/repository.hpp"
 #include "query/engine.hpp"
@@ -113,25 +114,78 @@ class ServerE2eTest : public ::testing::Test {
 };
 
 TEST_F(ServerE2eTest, RemoteResultIsBitIdenticalToDirectEngineRun) {
-  const std::string query = "mean(" + a_ + ", " + b_ + ")";
+  // Three results, one per wire shape: a full dense result, a sparse one
+  // (two 20%-filled runs), and one whose operands' call trees coalesce
+  // under integration (remapped rows; 10% fill, so sparse on the wire
+  // too, next to a full-fill remapped result that travels dense).
+  const auto store = [&](Experiment e, const std::string& name) {
+    e.set_name(name);
+    return repo_->store(e);
+  };
+  const std::string s1 =
+      store(cube::testing::make_coalescing(11, 0.2), "sparse-1");
+  const std::string s2 =
+      store(cube::testing::make_coalescing(12, 0.2), "sparse-2");
+  const std::string c1 = store(
+      cube::testing::make_coalescing(21, 0.1, StorageKind::Dense, 0), "co-1");
+  const std::string c2 = store(
+      cube::testing::make_coalescing(22, 0.1, StorageKind::Sparse, 100),
+      "co-2");
+  const std::string f1 = store(
+      cube::testing::make_coalescing(31, 1.0, StorageKind::Dense, 0), "cf-1");
+  const std::string f2 = store(
+      cube::testing::make_coalescing(32, 1.0, StorageKind::Dense, 100),
+      "cf-2");
+  const struct {
+    std::string query;
+    StorageKind wire;
+  } cases[] = {
+      {"mean(" + a_ + ", " + b_ + ")", StorageKind::Dense},
+      {"max(" + s1 + ", " + s2 + ")", StorageKind::Sparse},
+      {"mean(" + c1 + ", " + c2 + ")", StorageKind::Sparse},
+      {"diff(" + f1 + ", " + f2 + ")", StorageKind::Dense},
+  };
 
   CubeClient client(client_config());
-  const ClientResult remote = client.query(query);
-  EXPECT_EQ(remote.served, Served::Computed);
-
-  // The same query straight through the engine over a second repository
-  // object (a separate process's view of the same directory).
+  // The same queries straight through the engine over a second
+  // repository object (a separate process's view of the same directory),
+  // computing rather than loading the daemon's stored results.
   ExperimentRepository direct_repo(dir_ / "repo");
   cube::query::QueryOptions options;
   options.threads = 1;
+  options.use_cache = false;
   cube::query::QueryEngine engine(direct_repo, options);
-  const cube::query::QueryResult direct = engine.run(query);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.query);
+    const ClientResult remote = client.query(c.query);
+    EXPECT_EQ(remote.served, Served::Computed);
+    EXPECT_EQ(remote.experiment.severity().kind(), c.wire);
+    EXPECT_TRUE(remote.experiment.severity().borrowed());
+    const cube::query::QueryResult direct = engine.run(c.query);
+    EXPECT_EQ(remote.canonical, direct.canonical);
+    EXPECT_EQ(cube::to_cube_binary(remote.experiment),
+              cube::to_cube_binary(direct.experiment));
+  }
+}
 
-  EXPECT_EQ(remote.canonical, direct.canonical);
-  std::ostringstream remote_xml, direct_xml;
-  cube::write_cube_xml(remote.experiment, remote_xml);
-  cube::write_cube_xml(direct.experiment, direct_xml);
-  EXPECT_EQ(remote_xml.str(), direct_xml.str());
+TEST_F(ServerE2eTest, VersionOneHelloGetsATypedRefusal) {
+  RawConn conn(socket_);
+  HelloPayload hello;
+  hello.version = 1;  // a peer that expects CUBEBIN2 Result bodies
+  hello.client = "old-client";
+  write_frame(conn.fd, MsgType::Hello, encode_hello(hello));
+  const auto reply = read_frame(conn.fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::Error);
+  const ErrorPayload error = decode_error(reply->payload);
+  EXPECT_EQ(error.category, "protocol");
+  EXPECT_NE(error.message.find("protocol version 1 not supported"),
+            std::string::npos)
+      << error.message;
+  EXPECT_FALSE(read_frame(conn.fd).has_value());
+  // The daemon itself is unaffected.
+  CubeClient client(client_config());
+  client.ping();
 }
 
 TEST_F(ServerE2eTest, SharedCacheSpansSessions) {

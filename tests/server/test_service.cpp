@@ -79,7 +79,7 @@ TEST_F(ServiceTest, ComputesThenServesFromSharedCache) {
   ASSERT_EQ(first.status, QueryOutcome::Status::Ok);
   EXPECT_EQ(first.served, Served::Computed);
   ASSERT_NE(first.result, nullptr);
-  EXPECT_FALSE(first.result->body->empty());
+  EXPECT_FALSE(first.result->severity->empty());
   EXPECT_FALSE(first.result->meta_blob->empty());
   EXPECT_NE(first.result->meta_digest, 0u);
 
@@ -490,7 +490,7 @@ TEST_F(ServiceTest, HealthJsonReportsLiveState) {
   AnalysisService service(*repo_, config);
   const std::string json = service.health_json();
   EXPECT_NE(json.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(json.find("\"protocol_version\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"protocol_version\":2"), std::string::npos);
   EXPECT_NE(json.find("\"uptime_s\":"), std::string::npos);
   EXPECT_GT(service.uptime_s(), 0.0);
 }
